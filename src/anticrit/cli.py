@@ -24,8 +24,7 @@ EXIT_GUARD = 3
 CONFIG_DEFAULTS: dict[str, tuple[str, str]] = {
     "omega": ("1.0", "oscillator / spin frequency, the unit of energy"),
     "Omega": ("", "qubit splitting (rabi_full); empty = 1000 * omega"),
-    "n_max": ("300", "initial Fock truncation; doubled automatically up to n_max_cap"),
-    "n_max_cap": ("4096", "hard ceiling for automatic truncation escalation"),
+    "n_max": ("300", "initial Fock truncation; doubled automatically up to 4096"),
     "N": ("", "spin count; defaults: 200 (lmg), 10 (chains)"),
     "d_omega": ("", "finite-difference step; empty = 1e-5 * omega"),
     "method": ("spectral_sum", "default QFI estimator for the qfi subcommand"),
@@ -77,9 +76,7 @@ def _apply_tolerances(cfg: dict[str, str]) -> None:
     if "degeneracy_tol" in cfg:
         qfi.DEGENERACY_TOL = float(cfg["degeneracy_tol"])
     if "truncation_tol" in cfg:
-        tol = float(cfg["truncation_tol"])
-        models.TRUNCATION_TOL = tol
-        fock.TRUNCATION_TOL = tol
+        fock.TRUNCATION_TOL = float(cfg["truncation_tol"])
     if "ramp_gap_tol" in cfg:
         qfi.RAMP_GAP_TOL = float(cfg["ramp_gap_tol"])
     if "max_dim" in cfg:
@@ -296,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--family", required=True, choices=("effective", "lmg", "tfim", "tfim_transverse")
     )
-    p_sweep.add_argument("--grid", help="start:stop:count")
+    p_sweep.add_argument(
+        "--grid", help="start:stop:count; write a negative start as --grid=-3:3:121"
+    )
     p_sweep.add_argument("--columns", help="comma-separated column subset")
     p_sweep.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_sweep.add_argument("--omega", type=float, default=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
 import numpy as np
 
@@ -108,15 +109,20 @@ def squeeze_vacuum(xi: float, space: FockSpace) -> QuantumState:
     return QuantumState(amps, space.basis_label)
 
 
-def squeeze_vacuum_auto(xi: float, n_max: int = DEFAULT_N_MAX) -> QuantumState:
-    """squeeze_vacuum with n_max doubled (up to the cap) until it fits."""
+def escalate_n_max(attempt: Callable[[int], Any], n_max: int) -> Any:
+    """attempt(n_max), doubling n_max up to N_MAX_CAP while it raises TruncationGuard."""
     while True:
         try:
-            return squeeze_vacuum(xi, FockSpace(n_max))
+            return attempt(n_max)
         except TruncationGuard:
             if n_max >= N_MAX_CAP:
                 raise
             n_max = min(2 * n_max, N_MAX_CAP)
+
+
+def squeeze_vacuum_auto(xi: float, n_max: int = DEFAULT_N_MAX) -> QuantumState:
+    """squeeze_vacuum with n_max doubled (up to the cap) until it fits."""
+    return escalate_n_max(lambda n: squeeze_vacuum(xi, FockSpace(n)), n_max)
 
 
 @dataclass(frozen=True)

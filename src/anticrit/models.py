@@ -37,8 +37,6 @@ FAMILIES = (
 BOSONIC_FAMILIES = ("rabi_full", "effective_low", "effective_high")
 CRITICAL_MARGIN = 1e-6
 DEFAULT_OMEGA_RATIO = 1000.0  # reference Omega/omega when only x is given
-TRUNCATION_TOL = 1e-10
-N_MAX_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def build_rabi_full(spec: ModelSpec) -> ModelInstance:
 def build_effective(spec: ModelSpec) -> ModelInstance:
     """H = omega n -/+ g^2/(4 Omega) (a+adag)^2, constant terms dropped."""
     space = fock.FockSpace(spec.n_max)
-    q = fock.quadrature(space).entries.real
+    q = fock.quadrature(space).entries
     nop = np.diag(np.arange(space.dim, dtype=float))
     sign = -1.0 if spec.sector is Sector.LOW else +1.0
     H = spec.omega * nop + sign * spec.g**2 / (4.0 * spec.Omega) * (q @ q)
@@ -174,33 +172,27 @@ def build_lmg(spec: ModelSpec) -> ModelInstance:
 
 
 @lru_cache(maxsize=8)
-def _chain_terms(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sum sigma_z, sum sigma_x sigma_x, sum sigma_z sigma_z) with periodic bonds."""
-    basis = spin.ChainBasis(N)
-    states = np.arange(basis.dim)
-    # bit k of the state index is the z-eigenvalue of site k+1 (1 = up)
-    signs = 2.0 * ((states[:, np.newaxis] >> np.arange(N)) & 1) - 1.0
+def _chain_terms(N: int) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
+    """(sum sigma_z = d_omega H, sum sigma_x sigma_x, sum sigma_z sigma_z), periodic bonds."""
+    states, signs = spin.chain_bits(spin.ChainBasis(N))
     bonds = [(i, (i + 1) % N) for i in range(N)]  # periodic boundary
-    z_sum = np.diag(signs.sum(axis=1))
     zz_sum = np.diag(sum(signs[:, i] * signs[:, j] for i, j in bonds))
-    xx_sum = np.zeros((basis.dim, basis.dim))
+    xx_sum = np.zeros((states.size, states.size))
     for i, j in bonds:
         # sigma_x sigma_x flips the two bond bits
         xx_sum[states ^ ((1 << i) | (1 << j)), states] += 1.0
-    for arr in (z_sum, xx_sum, zz_sum):
+    for arr in (xx_sum, zz_sum):
         arr.setflags(write=False)
-    return z_sum, xx_sum, zz_sum
+    return HermitianOperator(np.diag(signs.sum(axis=1))), xx_sum, zz_sum
 
 
 def _chain_hamiltonian(spec: ModelSpec, transverse: bool) -> ModelInstance:
     basis = spin.ChainBasis(spec.N)
     z_sum, xx_sum, zz_sum = _chain_terms(spec.N)
-    H = spec.omega * z_sum - spec.g * xx_sum
+    H = spec.omega * z_sum.entries - spec.g * xx_sum
     if transverse:
         H = H + spec.g * zz_sum
-    return ModelInstance(
-        HermitianOperator(H), HermitianOperator(z_sum), spec, basis.basis_label
-    )
+    return ModelInstance(HermitianOperator(H), z_sum, spec, basis.basis_label)
 
 
 def build_tfim(spec: ModelSpec) -> ModelInstance:
@@ -270,7 +262,7 @@ def ground_decomposition(
     dec = eigendecompose(instance.H, basis=instance.basis)
     if check_truncation and instance.spec.family in BOSONIC_FAMILIES:
         weight = truncation_weight(instance, dec.eigenvector(0))
-        if weight >= TRUNCATION_TOL:
+        if weight >= fock.TRUNCATION_TOL:
             raise TruncationGuard(
                 f"ground state populates top Fock levels at {weight:.3e} "
                 f"(n_max={instance.spec.n_max})"
@@ -278,18 +270,13 @@ def ground_decomposition(
     return dec
 
 
-def diagonalize_converged(
-    spec: ModelSpec, n_max_cap: int = N_MAX_CAP
-) -> tuple[ModelInstance, SpectralDecomposition]:
+def diagonalize_converged(spec: ModelSpec) -> tuple[ModelInstance, SpectralDecomposition]:
     """Build and diagonalize, doubling n_max until the truncation bound holds."""
-    if spec.family not in BOSONIC_FAMILIES:
-        inst = build(spec)
+
+    def solve(point: ModelSpec) -> tuple[ModelInstance, SpectralDecomposition]:
+        inst = build(point)
         return inst, ground_decomposition(inst)
-    while True:
-        inst = build(spec)
-        try:
-            return inst, ground_decomposition(inst)
-        except TruncationGuard:
-            if spec.n_max >= n_max_cap:
-                raise
-            spec = spec.with_n_max(min(2 * spec.n_max, n_max_cap))
+
+    if spec.family not in BOSONIC_FAMILIES:
+        return solve(spec)
+    return fock.escalate_n_max(lambda n_max: solve(spec.with_n_max(n_max)), spec.n_max)

@@ -200,9 +200,7 @@ def _ramp_spec_at(family: str, omega: float, x: float, n_max: int | None, N: int
     if family in ("effective_low", "effective_high"):
         sector = Sector.LOW if family == "effective_low" else Sector.HIGH
         return ModelSpec.effective(sector, omega=omega, x=x, n_max=n_max)
-    if family == "lmg":
-        return ModelSpec(family=family, omega=omega, g=math.sqrt(x) * omega, N=N)
-    if family in ("tfim", "tfim_transverse"):
+    if family in ("lmg", "tfim", "tfim_transverse"):
         return ModelSpec(family=family, omega=omega, g=math.sqrt(x) * omega, N=N)
     raise ValueError(f"unsupported family for ramps: {family!r}")
 
@@ -242,9 +240,9 @@ def qfi_adiabatic_generator(
             continue
         spec = _ramp_spec_at(family, omega, float(x), n_max, N)
         inst, dec = models.diagonalize_converged(spec)
-        if np.abs(inst.H.entries.imag).max() > 1e-12:
+        if np.iscomplexobj(inst.H.entries):
             raise ValueError("ramp requires a real-symmetric Hamiltonian family")
-        vecs = dec.vectors.real
+        vecs = dec.vectors
         if prev_vecs is not None:
             # real gauge with continuity: flip signs to follow the previous step
             signs = np.sign(np.einsum("ij,ij->j", prev_vecs, vecs))
@@ -254,7 +252,7 @@ def qfi_adiabatic_generator(
         if dim is None:
             dim = dec.dim
             energies = np.empty((ramp.steps, dim))
-            elems = np.empty((ramp.steps, dim), dtype=complex)
+            elems = np.empty((ramp.steps, dim))
         elif dec.dim != dim:
             raise ConvergenceGuard(
                 "truncation level changed along the ramp; fix n_max explicitly"
@@ -264,7 +262,7 @@ def qfi_adiabatic_generator(
         if gap <= RAMP_GAP_TOL:
             raise GapGuard(f"instantaneous gap {gap:.3e} <= {RAMP_GAP_TOL:.0e} along ramp")
         energies[k] = dec.eigenvalues
-        elems[k] = vecs.T @ (inst.dH_domega.entries.real @ vecs[:, 0])
+        elems[k] = vecs.T @ (inst.dH_domega.entries @ vecs[:, 0])
 
     value = _generator_value(ts, energies, elems)
     diagnostics: dict[str, Any] = {

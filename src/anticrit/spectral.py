@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,8 +23,9 @@ DEGENERACY_CLUSTER_TOL = 1e-9
 MAX_DIM = 2**14
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _freeze(arr) -> np.ndarray:
+    """Read-only contiguous float64 array for real input, complex128 for complex input."""
+    arr = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
     arr.setflags(write=False)
     return arr
 
@@ -37,7 +37,7 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = _freeze(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionGuard(f"expected a square matrix, got shape {m.shape}")
         scale = np.abs(m).max()
@@ -46,14 +46,11 @@ class HermitianOperator:
             raise HermiticityViolation(
                 f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_RTOL:.0e} x {scale:.3e}"
             )
-        object.__setattr__(self, "entries", _freeze(m))
+        object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def is_real(self) -> bool:
-        return bool(np.abs(self.entries.imag).max() == 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +61,13 @@ class QuantumState:
     basis: str
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).ravel()
+        v = _freeze(np.ravel(self.amplitudes))
         if v.size < 1:
             raise DimensionGuard("empty state vector")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
-        object.__setattr__(self, "amplitudes", _freeze(v))
+        object.__setattr__(self, "amplitudes", v)
 
     @property
     def dim(self) -> int:
@@ -87,7 +84,7 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "vectors", _freeze(np.asarray(self.vectors, dtype=complex)))
+        object.__setattr__(self, "vectors", _freeze(self.vectors))
 
     @property
     def dim(self) -> int:
@@ -95,10 +92,6 @@ class SpectralDecomposition:
 
     def eigenvector(self, k: int) -> QuantumState:
         return QuantumState(self.vectors[:, k], self.basis)
-
-    @cached_property
-    def eigenvectors(self) -> list[QuantumState]:
-        return [self.eigenvector(k) for k in range(self.dim)]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -110,22 +103,11 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt (in index order) within quasi-degenerate eigenvalue clusters."""
-    n = vals.size
-    start = 0
-    vecs = vecs.copy()
-    while start < n:
-        end = start
-        while end + 1 < n and vals[end + 1] - vals[end] < DEGENERACY_CLUSTER_TOL:
-            end += 1
-        if end > start:
-            block = vecs[:, start : end + 1]
-            for j in range(block.shape[1]):
-                for i in range(j):
-                    block[:, j] -= (block[:, i].conj() @ block[:, j]) * block[:, i]
-                block[:, j] /= np.linalg.norm(block[:, j])
-            vecs[:, start : end + 1] = block
-        start = end + 1
+    """QR-orthonormalize (in place) each run of eigenvalues closer than the cluster tolerance."""
+    starts = [0, *(np.flatnonzero(np.diff(vals) >= DEGENERACY_CLUSTER_TOL) + 1)]
+    for start, end in zip(starts, starts[1:] + [vals.size]):
+        if end - start > 1:
+            vecs[:, start:end] = np.linalg.qr(vecs[:, start:end])[0]
     return vecs
 
 
@@ -136,16 +118,11 @@ def eigendecompose(
     limit = MAX_DIM if max_dim is None else max_dim
     if H.dim > limit:
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {limit}")
-    if H.is_real():
-        vals, vecs = sla.eigh(H.entries.real, driver="evd")
-        vecs = vecs.astype(complex)
-    else:
-        vals, vecs = np.linalg.eigh(H.entries)
-    vecs = _orthonormalize_clusters(vals, vecs)
-    vecs = _fix_phases(vecs)
-    scale = abs(vals[-1]) + abs(vals[0]) + 1.0
-    residual = np.abs(H.entries @ vecs - vecs * vals[np.newaxis, :]).max()
-    logger.debug("eigendecompose dim=%d residual=%.3e scale=%.3e", H.dim, residual, scale)
+    vals, vecs = sla.eigh(H.entries, driver="evd")
+    vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
+    if logger.isEnabledFor(logging.DEBUG):
+        residual = np.linalg.norm(H.entries @ vecs[:, 0] - vals[0] * vecs[:, 0])
+        logger.debug("eigendecompose dim=%d ground residual=%.3e", H.dim, residual)
     return SpectralDecomposition(vals, vecs, basis)
 
 

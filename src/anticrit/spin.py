@@ -7,6 +7,7 @@ site 1 as the least significant bit; bit i = 1 means spin i up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,9 +16,9 @@ from .spectral import HermitianOperator
 
 # single-site Paulis in (down, up) ordering so that bit value 1 <-> spin up
 _PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
-    "z": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]]),
+    "z": np.array([[-1.0, 0.0], [0.0, 1.0]]),
 }
 
 CHAIN_N_MIN = 3
@@ -64,10 +65,11 @@ class ChainBasis:
         return f"chain({self.N})"
 
 
+@lru_cache(maxsize=4)
 def collective_spin_ops(
     basis: DickeBasis,
 ) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """(S_x, S_y, S_z) restricted to the symmetric subspace."""
+    """(S_x, S_y, S_z) restricted to the symmetric subspace, built once per N."""
     S = basis.N / 2.0
     m = np.arange(-S, S + 1.0)
     sz = np.diag(m)
@@ -91,14 +93,27 @@ def site_pauli(basis: ChainBasis, site: int, axis: str) -> HermitianOperator:
     return HermitianOperator(np.kron(left, np.kron(_PAULI[axis], right)))
 
 
+def chain_bits(basis: ChainBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(states, signs): every basis index, and signs[s, i] = +1 if site i+1 is up in s.
+
+    Flipping site i+1 of state s gives state s ^ (1 << i).
+    """
+    states = np.arange(basis.dim)
+    return states, 2.0 * ((states[:, np.newaxis] >> np.arange(basis.N)) & 1) - 1.0
+
+
+@lru_cache(maxsize=4)
 def total_spin_ops(
     basis: ChainBasis,
 ) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """Collective S_alpha = sum_i sigma_alpha^(i) / 2 on the chain."""
-    ops = []
-    for axis in ("x", "y", "z"):
-        total = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for site in range(1, basis.N + 1):
-            total += site_pauli(basis, site, axis).entries
-        ops.append(HermitianOperator(total / 2.0))
-    return tuple(ops)
+    """Collective S_alpha = sum_i sigma_alpha^(i) / 2 on the chain, built once per N."""
+    states, signs = chain_bits(basis)
+    sx = np.zeros((basis.dim, basis.dim))
+    sy = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i in range(basis.N):
+        # sigma_x|down> = |up>, sigma_y|down> = -i|up>, sigma_y|up> = i|down>
+        flipped = states ^ (1 << i)
+        sx[flipped, states] = 0.5
+        sy[flipped, states] = 0.5j * signs[:, i]
+    sz = np.diag(signs.sum(axis=1) / 2.0)
+    return HermitianOperator(sx), HermitianOperator(sy), HermitianOperator(sz)

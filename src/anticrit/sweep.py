@@ -12,13 +12,12 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import __version__, models, qfi
+from . import __version__, fock, models, qfi
 from .errors import NumericalGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelSpec
@@ -163,18 +162,7 @@ def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
     return row
 
 
-@lru_cache(maxsize=4)
-def _dicke_observables(N: int):
-    return collective_spin_ops(DickeBasis(N))
-
-
-@lru_cache(maxsize=4)
-def _chain_observables(N: int):
-    return total_spin_ops(ChainBasis(N))
-
-
 def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
-    family = "lmg" if config.family == "lmg" else config.family
     row: dict[str, Any] = {
         "g_over_gc": g_over_gc,
         "x": g_over_gc**2,
@@ -182,16 +170,16 @@ def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
     }
     try:
         g = g_over_gc * config.omega  # g_c = omega for every spin family here
-        spec = ModelSpec(family=family, omega=config.omega, g=g, N=config.N)
+        spec = ModelSpec(family=config.family, omega=config.omega, g=g, N=config.N)
         inst, dec = models.diagonalize_converged(spec)
         ground = dec.eigenvector(0)
-        if family == "lmg":
-            sx, sy, sz = _dicke_observables(config.N)
+        if config.family == "lmg":
+            sx, sy, sz = collective_spin_ops(DickeBasis(config.N))
         else:
-            sx, sy, sz = _chain_observables(config.N)
+            sx, sy, sz = total_spin_ops(ChainBasis(config.N))
         row["gap01"] = float(dec.eigenvalues[1] - dec.eigenvalues[0])
         row["mean_sz"] = expectation(sz, ground)
-        if family == "lmg":
+        if config.family == "lmg":
             # <Sz + N/2> as the mean of the non-negative diagonal m + N/2 = 0..N;
             # mean_sz + N/2 would cancel about log10(N / (2 <Sz + N/2>)) digits
             probs = np.abs(ground.amplitudes) ** 2
@@ -202,7 +190,7 @@ def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
         spectral = qfi.qfi_spectral_sum(inst, dec).value
         row["qfi_spectral"] = spectral
         if "qfi_fd" in config.effective_columns:
-            row["qfi_fd"] = qfi.qfi_state_fd(spec, check_step=family == "lmg").value
+            row["qfi_fd"] = qfi.qfi_state_fd(spec, check_step=config.family == "lmg").value
         per_time, per_time_sq = qfi.normalized_metrics(spectral, row["gap01"])
         row["qfi_times_gap"] = per_time
         row["qfi_times_gap_sq"] = per_time_sq
@@ -228,20 +216,10 @@ def sweep_effective(config: SweepConfig) -> list[dict[str, Any]]:
     return _map_rows(_effective_row, config, config.grid)
 
 
-def sweep_lmg(config: SweepConfig) -> list[dict[str, Any]]:
-    return _map_rows(_spin_row, config, config.grid)
-
-
-def sweep_chain(config: SweepConfig) -> list[dict[str, Any]]:
-    return _map_rows(_spin_row, config, config.grid)
-
-
 def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
     if config.family == "effective":
         return sweep_effective(config)
-    if config.family == "lmg":
-        return sweep_lmg(config)
-    return sweep_chain(config)
+    return _map_rows(_spin_row, config, config.grid)
 
 
 def convergence_report(
@@ -317,7 +295,7 @@ def sweep_metadata(config: SweepConfig) -> dict[str, Any]:
         "columns": list(config.effective_columns),
         "tolerances": {
             "degeneracy_tol": qfi.DEGENERACY_TOL,
-            "truncation_tol": models.TRUNCATION_TOL,
+            "truncation_tol": fock.TRUNCATION_TOL,
             "low_sector_exclusion": LOW_SECTOR_EXCLUSION,
             "fd_step_fraction": qfi.FD_STEP_FRACTION,
         },

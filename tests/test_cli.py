@@ -3,6 +3,7 @@ import math
 import pytest
 
 from anticrit.cli import emit_config_template, main, parse_config
+from anticrit.sweep import CHAIN_DEFAULT_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,15 @@ class TestSweepCommand:
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
 
+    def test_negative_grid_start(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "tfim", "--N", "4", "--grid=-1:1:3"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == ",".join(CHAIN_DEFAULT_COLUMNS)
+        assert len(lines) == 4
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--family", "lmg", "--grid", "0.0:0.5"
@@ -152,6 +162,10 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             parse_config("mystery=1\n")
+
+    def test_n_max_cap_key_removed(self):
+        with pytest.raises(ValueError):
+            parse_config("n_max_cap=8192\n")
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,54 @@ class TestEigendecompose:
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
 
+class TestDtypeContract:
+    @pytest.mark.parametrize(
+        "entries", [[[2, 1], [1, 0]], np.array([[2.0, 1.0], [1.0, 0.0]])], ids=["int", "float"]
+    )
+    def test_real_input_stays_real(self, entries):
+        op = HermitianOperator(entries)
+        dec = eigendecompose(op)
+        assert op.entries.dtype == np.float64
+        assert dec.vectors.dtype == np.float64
+        assert dec.eigenvector(0).amplitudes.dtype == np.float64
+        assert QuantumState([0, 1], "b").amplitudes.dtype == np.float64
+
+    def test_complex_input_stays_complex(self):
+        op = random_hermitian(4, 1)
+        dec = eigendecompose(op)
+        assert op.entries.dtype == np.complex128
+        assert dec.vectors.dtype == np.complex128
+        assert dec.eigenvector(0).amplitudes.dtype == np.complex128
+        assert QuantumState([0, 1j], "b").amplitudes.dtype == np.complex128
+
+
+def repeated_eigenvalue_hermitian():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    m = q @ np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]) @ q.conj().T
+    return HermitianOperator((m + m.conj().T) / 2)
+
+
+class TestDegenerateClusters:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.0, N=6)).H,
+            repeated_eigenvalue_hermitian,
+        ],
+        ids=["tfim_g0_N6", "complex_repeated"],
+    )
+    def test_orthonormal_with_real_positive_pivots(self, make):
+        op = make()
+        dec = eigendecompose(op)
+        assert np.any(np.diff(dec.eigenvalues) < 1e-9)  # clusters are present
+        gram = dec.vectors.conj().T @ dec.vectors
+        assert np.abs(gram - np.eye(op.dim)).max() <= 1e-12
+        pivots = dec.vectors[np.abs(dec.vectors).argmax(axis=0), np.arange(op.dim)]
+        assert np.all(pivots.real > 0)
+        assert np.all(np.abs(pivots.imag) <= 1e-12 * np.abs(pivots))
+
+
 class TestEnergyGap:
     @pytest.mark.parametrize("N", [2, 10, 50])
     def test_lmg_free(self, N):

@@ -87,3 +87,10 @@ class TestChain:
         sx, sy, sz = total_spin_ops(ChainBasis(5))
         comm = sx.entries @ sy.entries - sy.entries @ sx.entries
         assert np.abs(comm - 1j * sz.entries).max() <= 1e-12
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_total_spin_matches_site_paulis(self, N):
+        basis = ChainBasis(N)
+        for axis, op in zip("xyz", total_spin_ops(basis)):
+            reference = sum(site_pauli(basis, i, axis).entries for i in range(1, N + 1)) / 2
+            assert np.array_equal(op.entries, reference), axis

@@ -207,6 +207,23 @@ class TestSerialization:
             == out_b.with_suffix(".meta.json").read_bytes()
         )
 
+    @pytest.mark.parametrize(
+        "family, grid, N",
+        [
+            pytest.param("tfim", (-0.5, 0.0, 0.5), 4, id="tfim"),
+            pytest.param("lmg", (0.0, 0.4, 0.8), 20, id="lmg"),
+        ],
+    )
+    def test_parallel_jobs_match_serial(self, tmp_path, family, grid, N):
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        for out, jobs in ((serial, 1), (parallel, 2)):
+            run_and_write(SweepConfig(family=family, grid=grid, N=N, out=out, jobs=jobs))
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert (
+            serial.with_suffix(".meta.json").read_bytes()
+            == parallel.with_suffix(".meta.json").read_bytes()
+        )
+
     def test_guarded_row_cells_empty(self):
         # force a degeneracy refusal by shrinking the tolerance window
         config = SweepConfig(family="effective", grid=(0.25,))
