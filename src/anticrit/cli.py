@@ -293,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--family", required=True, choices=("effective", "lmg", "tfim", "tfim_transverse")
     )
-    p_sweep.add_argument(
-        "--grid", help="start:stop:count; write a negative start as --grid=-3:3:121"
-    )
+    p_sweep.add_argument("--grid", help="start:stop:count, e.g. -3:3:121")
     p_sweep.add_argument("--columns", help="comma-separated column subset")
     p_sweep.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_sweep.add_argument("--omega", type=float, default=None)
@@ -331,9 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grid_value(argv: list[str]) -> list[str]:
+    """Join "--grid VALUE" into "--grid=VALUE".
+
+    argparse takes a separate value that starts with "-" (a negative
+    start such as -3:3:121) for an option and rejects the command.
+    """
+    joined: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--grid" else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grid_value(sys.argv[1:] if argv is None else argv))
     try:
         cfg = {}
         if args.config is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -54,7 +55,9 @@ def annihilation(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
+@lru_cache(maxsize=8)
 def number_operator(space: FockSpace) -> HermitianOperator:
+    """n = adag a, built and validated once per truncation."""
     return HermitianOperator(np.diag(np.arange(space.dim, dtype=float)))
 
 

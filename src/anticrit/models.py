@@ -151,23 +151,35 @@ def build_rabi_full(spec: ModelSpec) -> ModelInstance:
     return ModelInstance(HermitianOperator(H), HermitianOperator(dH), spec, basis)
 
 
+def _tridiagonal_square(off: np.ndarray) -> np.ndarray:
+    """T @ T for the symmetric tridiagonal T with zero diagonal and off-diagonal `off`.
+
+    T^2 couples i only to i and i +/- 2: (T^2)_ii = off_{i-1}^2 + off_i^2
+    and (T^2)_{i,i+2} = off_i off_{i+1}.
+    """
+    sq = np.square(off)
+    out = np.diag(np.append(sq, 0.0) + np.insert(sq, 0, 0.0))
+    i = np.arange(off.size - 1)
+    out[i, i + 2] = out[i + 2, i] = off[:-1] * off[1:]
+    return out
+
+
 def build_effective(spec: ModelSpec) -> ModelInstance:
     """H = omega n -/+ g^2/(4 Omega) (a+adag)^2, constant terms dropped."""
     space = fock.FockSpace(spec.n_max)
-    q = fock.quadrature(space).entries
-    nop = np.diag(np.arange(space.dim, dtype=float))
+    nop = fock.number_operator(space)
+    q2 = _tridiagonal_square(np.sqrt(np.arange(1.0, space.dim)))  # <n-1|a+adag|n> = sqrt(n)
     sign = -1.0 if spec.sector is Sector.LOW else +1.0
-    H = spec.omega * nop + sign * spec.g**2 / (4.0 * spec.Omega) * (q @ q)
-    return ModelInstance(
-        HermitianOperator(H), HermitianOperator(nop), spec, space.basis_label
-    )
+    H = spec.omega * nop.entries + sign * spec.g**2 / (4.0 * spec.Omega) * q2
+    return ModelInstance(HermitianOperator(H), nop, spec, space.basis_label)
 
 
 def build_lmg(spec: ModelSpec) -> ModelInstance:
     """H = omega S_z - (g/N) S_x^2 in the symmetric subspace (g_c = omega)."""
     basis = spin.DickeBasis(spec.N)
     sx, _, sz = spin.collective_spin_ops(basis)
-    H = spec.omega * sz.entries - (spec.g / spec.N) * (sx.entries @ sx.entries)
+    sx2 = _tridiagonal_square(np.diagonal(sx.entries, 1))
+    H = spec.omega * sz.entries - (spec.g / spec.N) * sx2
     return ModelInstance(HermitianOperator(H), sz, spec, basis.basis_label)
 
 
@@ -192,6 +204,7 @@ def _chain_hamiltonian(spec: ModelSpec, transverse: bool) -> ModelInstance:
     H = spec.omega * z_sum.entries - spec.g * xx_sum
     if transverse:
         H = H + spec.g * zz_sum
+    H.setflags(write=False)  # handed to the operator without a 2^N x 2^N copy
     return ModelInstance(HermitianOperator(H), z_sum, spec, basis.basis_label)
 
 

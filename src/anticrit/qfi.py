@@ -127,12 +127,23 @@ def _fd_value(psi0: np.ndarray, plus: np.ndarray, minus: np.ndarray, d: float) -
 
 
 def qfi_state_fd(
-    spec: ModelSpec, d_omega: float | None = None, check_step: bool = True
+    spec: ModelSpec,
+    d_omega: float | None = None,
+    check_step: bool = True,
+    centre: tuple[ModelInstance, SpectralDecomposition] | None = None,
 ) -> QfiResult:
-    """Fidelity-susceptibility QFI from central differences of gauge-fixed ground states."""
+    """Fidelity-susceptibility QFI from central differences of gauge-fixed ground states.
+
+    `centre` is the caller's ``models.diagonalize_converged(spec)``, reused
+    instead of solving the centre point again.
+    """
     if d_omega is None:
         d_omega = FD_STEP_FRACTION * spec.omega
-    inst, dec = models.diagonalize_converged(spec)
+    if centre is None:
+        centre = models.diagonalize_converged(spec)
+    inst, dec = centre
+    if inst.spec.with_n_max(spec.n_max) != spec:
+        raise ValueError(f"centre decomposition is of {inst.spec}, not of {spec}")
     if spec.family in models.BOSONIC_FAMILIES:
         spec = spec.with_n_max(inst.spec.n_max)  # same space at all three points
 

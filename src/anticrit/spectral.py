@@ -1,8 +1,11 @@
-"""Dense Hermitian eigendecomposition and state utilities.
+"""Hermitian eigendecomposition and state utilities.
 
 Everything downstream (model building, QFI estimators, sweeps) goes
 through :func:`eigendecompose`, which fixes eigenvector phases so that
-repeated runs on the same machine produce bit-identical output.
+repeated runs on the same machine produce bit-identical output. A real
+matrix that couples each index only to itself and its neighbours at
+distance 2 is solved as two tridiagonal blocks (even and odd indices);
+any other matrix takes one dense LAPACK call.
 """
 
 from __future__ import annotations
@@ -21,13 +24,40 @@ HERMITICITY_RTOL = 1e-12
 NORM_TOL = 1e-12
 DEGENERACY_CLUSTER_TOL = 1e-9
 MAX_DIM = 2**14
+_HERMITICITY_PANEL_ROWS = 64
 
 
 def _freeze(arr) -> np.ndarray:
-    """Read-only contiguous float64 array for real input, complex128 for complex input."""
-    arr = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
-    arr.setflags(write=False)
-    return arr
+    """Read-only contiguous float64 array for real input, complex128 for complex input.
+
+    A read-only array that owns its memory and already has that form is
+    kept as it is: a builder hands its result over this way, without a
+    copy. Any other input is copied, so a caller's writable array stays
+    writable and cannot change the frozen one.
+    """
+    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.base is None
+        and not arr.flags.writeable
+        and arr.dtype == dtype
+        and arr.flags.c_contiguous
+    ):
+        return arr
+    out = np.array(arr, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
+def _hermiticity_deviation(m: np.ndarray) -> tuple[float, float]:
+    """(max |m - m^H|, max |m|) over row panels, without full-size temporaries."""
+    dev = scale = 0.0
+    for start in range(0, m.shape[0], _HERMITICITY_PANEL_ROWS):
+        rows = m[start : start + _HERMITICITY_PANEL_ROWS]
+        cols = m[:, start : start + _HERMITICITY_PANEL_ROWS].T.conj()
+        dev = max(dev, np.abs(rows - cols).max())
+        scale = max(scale, np.abs(rows).max())
+    return dev, scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +70,7 @@ class HermitianOperator:
         m = _freeze(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionGuard(f"expected a square matrix, got shape {m.shape}")
-        scale = np.abs(m).max()
-        dev = np.abs(m - m.conj().T).max()
+        dev, scale = _hermiticity_deviation(m)
         if dev > HERMITICITY_RTOL * max(scale, 1e-300):
             raise HermiticityViolation(
                 f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_RTOL:.0e} x {scale:.3e}"
@@ -95,11 +124,11 @@ class SpectralDecomposition:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude amplitude is real positive."""
+    """Rotate (in place) each column so its largest-magnitude amplitude is real positive."""
     idx = np.abs(vecs).argmax(axis=0)
     pivots = vecs[idx, np.arange(vecs.shape[1])]
-    phases = pivots / np.abs(pivots)
-    return vecs * phases.conj()[np.newaxis, :]
+    vecs *= (pivots / np.abs(pivots)).conj()[np.newaxis, :]
+    return vecs
 
 
 def _orthonormalize_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -111,18 +140,58 @@ def _orthonormalize_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _parity_bands(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(diagonal, offset -2 diagonal) of a real m with every nonzero on diagonals 0 and +/-2.
+
+    None for any other matrix. Such an m never couples an even index to an
+    odd one, so its even and odd rows each form a symmetric tridiagonal block.
+    """
+    if np.iscomplexobj(m) or m.shape[0] < 3:
+        return None
+    diag, lower, upper = np.diagonal(m), np.diagonal(m, -2), np.diagonal(m, 2)
+    banded = np.count_nonzero(diag) + np.count_nonzero(lower) + np.count_nonzero(upper)
+    return (diag, lower) if np.count_nonzero(m) == banded else None
+
+
+def _solve_parity_blocks(
+    diag: np.ndarray, lower: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the even and odd tridiagonal blocks, scattered to full size."""
+    even_vals, even_vecs = sla.eigh_tridiagonal(diag[0::2], lower[0::2])
+    odd_vals, odd_vecs = sla.eigh_tridiagonal(diag[1::2], lower[1::2])
+    vals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(vals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)  # merged position of each block eigenpair
+    vecs = np.zeros((diag.size, diag.size), order="F")  # column-major, as LAPACK returns
+    vecs[0::2, column[: even_vals.size]] = even_vecs
+    vecs[1::2, column[even_vals.size :]] = odd_vecs
+    return vals[order], vecs
+
+
 def eigendecompose(
     H: HermitianOperator, basis: str = "", max_dim: int | None = None
 ) -> SpectralDecomposition:
-    """Full dense Hermitian solve with deterministic phase fixing."""
+    """Full Hermitian solve with deterministic phase fixing.
+
+    A real H whose nonzeros lie only on diagonals 0 and +/-2 is solved as
+    its even and odd tridiagonal blocks; any other H by one dense call.
+    """
     limit = MAX_DIM if max_dim is None else max_dim
     if H.dim > limit:
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {limit}")
-    vals, vecs = sla.eigh(H.entries, driver="evd")
+    bands = _parity_bands(H.entries)
+    if bands is None:
+        vals, vecs = sla.eigh(H.entries, driver="evd")
+    else:
+        vals, vecs = _solve_parity_blocks(*bands)
     vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
     if logger.isEnabledFor(logging.DEBUG):
         residual = np.linalg.norm(H.entries @ vecs[:, 0] - vals[0] * vecs[:, 0])
-        logger.debug("eigendecompose dim=%d ground residual=%.3e", H.dim, residual)
+        logger.debug(
+            "eigendecompose dim=%d %s ground residual=%.3e",
+            H.dim, "dense" if bands is None else "parity-tridiagonal", residual,
+        )
     return SpectralDecomposition(vals, vecs, basis)
 
 

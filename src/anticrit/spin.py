@@ -116,4 +116,6 @@ def total_spin_ops(
         sx[flipped, states] = 0.5
         sy[flipped, states] = 0.5j * signs[:, i]
     sz = np.diag(signs.sum(axis=1) / 2.0)
+    for arr in (sx, sy, sz):
+        arr.setflags(write=False)  # handed to the operators without a copy
     return HermitianOperator(sx), HermitianOperator(sy), HermitianOperator(sz)

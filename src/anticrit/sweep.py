@@ -153,7 +153,7 @@ def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
         row["qfi_analytic"] = qfi.qfi_analytic_squeezed(sector, config.omega, x).value
         spectral = qfi.qfi_spectral_sum(inst, dec).value
         row["qfi_spectral"] = spectral
-        row["qfi_fd"] = qfi.qfi_state_fd(inst.spec).value
+        row["qfi_fd"] = qfi.qfi_state_fd(inst.spec, centre=(inst, dec)).value
         per_time, per_time_sq = qfi.normalized_metrics(spectral, row["gap01"])
         row["qfi_times_gap"] = per_time
         row["qfi_times_gap_sq"] = per_time_sq
@@ -190,7 +190,9 @@ def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
         spectral = qfi.qfi_spectral_sum(inst, dec).value
         row["qfi_spectral"] = spectral
         if "qfi_fd" in config.effective_columns:
-            row["qfi_fd"] = qfi.qfi_state_fd(spec, check_step=config.family == "lmg").value
+            row["qfi_fd"] = qfi.qfi_state_fd(
+                spec, check_step=config.family == "lmg", centre=(inst, dec)
+            ).value
         per_time, per_time_sq = qfi.normalized_metrics(spectral, row["gap01"])
         row["qfi_times_gap"] = per_time
         row["qfi_times_gap_sq"] = per_time_sq

@@ -121,6 +121,15 @@ class TestSweepCommand:
         assert lines[0] == ",".join(CHAIN_DEFAULT_COLUMNS)
         assert len(lines) == 4
 
+    def test_negative_grid_start_with_space(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "tfim", "--N", "4", "--grid", "-1:1:3"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == ",".join(CHAIN_DEFAULT_COLUMNS)
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1.0", "0.0", "1.0"]
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--family", "lmg", "--grid", "0.0:0.5"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anticrit import models
+from anticrit import fock, models
 from anticrit.errors import CriticalPointGuard
 from anticrit.fock import Sector
 from anticrit.models import (
@@ -99,6 +99,28 @@ class TestEffective:
     def test_critical_guard(self):
         with pytest.raises(CriticalPointGuard):
             ModelSpec.effective("low", x=1.0)
+
+
+class TestBandedSquares:
+    """H is built from the band of (a+adag)^2 and Sx^2, not from a dense product."""
+
+    @pytest.mark.parametrize("sector", ["low", "high"])
+    def test_effective_matches_dense_square(self, sector):
+        spec = ModelSpec.effective(sector, x=0.8, n_max=50)
+        q = fock.quadrature(fock.FockSpace(50)).entries
+        sign = -1.0 if sector == "low" else 1.0
+        dense = np.diag(np.arange(51.0)) + sign * spec.g**2 / (4.0 * spec.Omega) * (q @ q)
+        H = build(spec).H.entries
+        assert np.abs(H - dense).max() <= 4 * np.finfo(float).eps * np.abs(dense).max()
+
+    @pytest.mark.parametrize("N", [2, 3, 40])
+    def test_lmg_matches_dense_square(self, N):
+        from anticrit.spin import DickeBasis, collective_spin_ops
+
+        sx, _, sz = collective_spin_ops(DickeBasis(N))
+        dense = sz.entries - (0.7 / N) * (sx.entries @ sx.entries)
+        H = build(ModelSpec(family="lmg", omega=1.0, g=0.7, N=N)).H.entries
+        assert np.abs(H - dense).max() <= 4 * np.finfo(float).eps * np.abs(dense).max()
 
 
 class TestAnalyticHelpers:

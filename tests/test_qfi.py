@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,24 @@ class TestStateFd:
         inst, dec = models.diagonalize_converged(spec)
         reference = qfi_spectral_sum(inst, dec).value
         assert qfi_state_fd(spec).value == pytest.approx(reference, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec.effective("low", x=0.6, n_max=120), ModelSpec(family="lmg", omega=1.0, g=0.5, N=60)],
+        ids=["effective_low", "lmg"],
+    )
+    def test_centre_reused(self, spec):
+        centre = models.diagonalize_converged(spec)
+        with mock.patch.object(models, "eigendecompose", wraps=models.eigendecompose) as solves:
+            value = qfi_state_fd(spec, centre=centre).value
+        assert solves.call_count == 4  # +/- d and +/- d/2 only
+        assert value == qfi_state_fd(spec).value
+
+    def test_centre_of_another_spec_rejected(self):
+        spec = ModelSpec(family="lmg", omega=1.0, g=0.5, N=60)
+        centre = models.diagonalize_converged(spec.with_omega(1.1))
+        with pytest.raises(ValueError, match="centre"):
+            qfi_state_fd(spec, centre=centre)
 
     def test_gauge_alignment_phase_invariant(self):
         from anticrit.qfi import _aligned_ground

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +51,38 @@ class TestEigendecompose:
     def test_non_hermitian_rejected(self):
         with pytest.raises(HermiticityViolation):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("row,col", [(3, 190), (190, 3), (150, 149)])
+    def test_non_hermitian_rejected_in_any_panel(self, row, col):
+        # 200 rows span several panels of the check; one bad entry in any fails it
+        m = random_hermitian(200, 4).entries.copy()
+        m[row, col] += 1e-9
+        with pytest.raises(HermiticityViolation, match="Hermiticity deviation"):
+            HermitianOperator(m)
+        m[row, col] -= 1e-9 - 1e-14  # within the 1e-12 relative tolerance
+        HermitianOperator(m)
+
+    def test_caller_array_stays_writable(self):
+        m = np.eye(2)
+        op = HermitianOperator(m)
+        m[0, 0] = 2.0
+        assert op.entries[0, 0] == 1.0
+        assert not op.entries.flags.writeable
+        amps = np.array([1.0, 0.0])
+        state = QuantumState(amps, "b")
+        amps[0] = 0.5
+        assert state.amplitudes[0] == 1.0
+
+    def test_read_only_owner_handed_over_view_copied(self):
+        owned = np.eye(3)
+        owned.setflags(write=False)
+        assert HermitianOperator(owned).entries is owned  # no copy
+        base = np.eye(3)
+        view = base[:]
+        view.setflags(write=False)
+        op = HermitianOperator(view)
+        base[0, 0] = 5.0
+        assert op.entries[0, 0] == 1.0
 
     def test_dimension_guard(self):
         op = random_hermitian(4, 0)
@@ -139,6 +173,103 @@ class TestDegenerateClusters:
         pivots = dec.vectors[np.abs(dec.vectors).argmax(axis=0), np.arange(op.dim)]
         assert np.all(pivots.real > 0)
         assert np.all(np.abs(pivots.imag) <= 1e-12 * np.abs(pivots))
+
+
+def parity_banded(dim, seed, zero_fraction):
+    """Random real symmetric matrix with nonzeros only on diagonals 0 and +/-2.
+
+    Zeroed entries split the blocks further and make exact degeneracies.
+    """
+    rng = np.random.default_rng(seed)
+    diag, band = rng.normal(size=dim), rng.normal(size=dim - 2)
+    diag[rng.random(dim) < zero_fraction] = 0.0
+    band[rng.random(dim - 2) < zero_fraction] = 0.0
+    return np.diag(diag) + np.diag(band, 2) + np.diag(band, -2)
+
+
+def stray_offset_one():
+    m = parity_banded(12, 3, 0.0)
+    m[4, 5] = m[5, 4] = 0.25
+    return HermitianOperator(m)
+
+
+def solve_counting_routes(op):
+    """eigendecompose(op) and how often it called (dense eigh, eigh_tridiagonal)."""
+    with mock.patch.object(sla, "eigh", wraps=sla.eigh) as dense, mock.patch.object(
+        sla, "eigh_tridiagonal", wraps=sla.eigh_tridiagonal
+    ) as tridiagonal:
+        dec = eigendecompose(op)
+    return dec, (dense.call_count, tridiagonal.call_count)
+
+
+def assert_valid_decomposition(op, dec):
+    norm = np.linalg.norm(op.entries, 2)
+    tol = 128 * np.finfo(float).eps * max(norm, 1e-300)
+    assert np.all(np.diff(dec.eigenvalues) >= 0)
+    gram = dec.vectors.conj().T @ dec.vectors
+    assert np.abs(gram - np.eye(op.dim)).max() <= 1e-12
+    residuals = np.linalg.norm(op.entries @ dec.vectors - dec.vectors * dec.eigenvalues, axis=0)
+    assert residuals.max() <= tol
+    pivots = dec.vectors[np.abs(dec.vectors).argmax(axis=0), np.arange(op.dim)]
+    assert np.all(pivots.real > 0)
+    assert np.all(np.abs(pivots.imag) <= 1e-12 * np.abs(pivots))
+    return tol
+
+
+class TestParityTridiagonalRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(3, 60),
+        seed=st.integers(0, 10**6),
+        zero_fraction=st.sampled_from([0.0, 0.3]),
+    )
+    def test_matches_dense(self, dim, seed, zero_fraction):
+        op = HermitianOperator(parity_banded(dim, seed, zero_fraction))
+        dec, routes = solve_counting_routes(op)
+        assert routes == (0, 2)  # one tridiagonal solve per parity block
+        tol = assert_valid_decomposition(op, dec)
+        dense = sla.eigh(op.entries, eigvals_only=True)
+        assert np.abs(dec.eigenvalues - dense).max() <= tol
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build(ModelSpec.effective("low", x=0.9, n_max=120)).H,
+            lambda: build(ModelSpec.effective("high", x=8.0, n_max=120)).H,
+            lambda: build(ModelSpec(family="lmg", omega=1.0, g=0.9, N=60)).H,
+        ],
+        ids=["effective_low", "effective_high", "lmg"],
+    )
+    def test_model_families_take_it(self, make):
+        op = make()
+        dec, routes = solve_counting_routes(op)
+        assert routes == (0, 2)
+        assert_valid_decomposition(op, dec)
+
+    def test_diagonal_degenerate(self):
+        op = build(ModelSpec(family="tfim", omega=1.0, g=0.0, N=6)).H
+        dec, routes = solve_counting_routes(op)
+        assert routes == (0, 2)
+        assert np.any(np.diff(dec.eigenvalues) < 1e-9)  # clusters are present
+        assert_valid_decomposition(op, dec)
+        assert np.array_equal(dec.eigenvalues, np.sort(np.diag(op.entries)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            stray_offset_one,
+            lambda: HermitianOperator(parity_banded(12, 3, 0.0).astype(complex)),
+            lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H,
+        ],
+        ids=["stray_offset_one", "complex", "rabi_full"],
+    )
+    def test_other_matrices_stay_dense(self, make):
+        op = make()
+        dec, routes = solve_counting_routes(op)
+        assert routes == (1, 0)
+        tol = assert_valid_decomposition(op, dec)
+        dense = sla.eigh(op.entries, eigvals_only=True)
+        assert np.abs(dec.eigenvalues - dense).max() <= tol
 
 
 class TestEnergyGap:
