@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import __version__, fock, models, qfi, spectral, sweep
 from .errors import NumericalGuard
-from .fock import Sector
 from .models import ModelSpec
 
 EXIT_OK = 0
@@ -104,11 +103,10 @@ def _model_spec(args, cfg: dict[str, str]) -> ModelSpec:
     omega = _setting(args, cfg, "omega", float, 1.0)
     n_max = _setting(args, cfg, "n_max", int)
     N = _setting(args, cfg, "N", int)
-    if family in ("effective_low", "effective_high"):
+    if family in models.SECTORS:
         if args.x is None:
             raise ValueError(f"{family} needs --x")
-        sector = Sector.LOW if family == "effective_low" else Sector.HIGH
-        return ModelSpec.effective(sector, omega=omega, x=args.x, n_max=n_max)
+        return ModelSpec.effective(models.SECTORS[family], omega=omega, x=args.x, n_max=n_max)
     if family == "rabi_full":
         Omega = _setting(args, cfg, "Omega", float, models.DEFAULT_OMEGA_RATIO * omega)
         if args.x is not None:
@@ -138,9 +136,9 @@ def _cmd_qfi(args, cfg: dict[str, str]) -> int:
     method = args.method or cfg.get("method") or "spectral_sum"
     omega = _setting(args, cfg, "omega", float, 1.0)
     if method == "analytic":
-        if args.family not in ("effective_low", "effective_high"):
+        if args.family not in models.SECTORS:
             raise ValueError("analytic method applies to the effective sectors only")
-        sector = Sector.LOW if args.family == "effective_low" else Sector.HIGH
+        sector = models.SECTORS[args.family]
         result = qfi.qfi_analytic_squeezed(sector, omega, args.x)
     elif method == "spectral_sum":
         inst, dec = models.diagonalize_converged(_model_spec(args, cfg))
@@ -149,18 +147,18 @@ def _cmd_qfi(args, cfg: dict[str, str]) -> int:
         d_omega = _setting(args, cfg, "d_omega", float)
         result = qfi.qfi_state_fd(_model_spec(args, cfg), d_omega=d_omega)
     elif method == "phase_imprint":
-        if args.family not in ("effective_low", "effective_high"):
+        if args.family not in models.SECTORS:
             raise ValueError("phase_imprint here uses the effective squeezed vacuum")
-        sector = Sector.LOW if args.family == "effective_low" else Sector.HIGH
+        sector = models.SECTORS[args.family]
         t = _setting(args, cfg, "t", float, 1.0)
         xi = fock.squeezing_parameter(sector, args.x).xi
         state = fock.squeeze_vacuum_auto(xi)
         n_op = fock.number_operator(fock.FockSpace(state.dim - 1))
         result = qfi.qfi_phase_imprint(state, n_op, t)
     elif method == "oscillator_evolution":
-        if args.family not in ("effective_low", "effective_high"):
+        if args.family not in models.SECTORS:
             raise ValueError("oscillator_evolution applies to the effective sectors only")
-        sector = Sector.LOW if args.family == "effective_low" else Sector.HIGH
+        sector = models.SECTORS[args.family]
         t = _setting(args, cfg, "t", float, 1.0)
         var_c = _setting(args, cfg, "var_c", float, 1.0)
         result = qfi.qfi_oscillator_evolution(var_c, t, sector, omega, args.x)

@@ -35,6 +35,7 @@ FAMILIES = (
     "tfim_transverse",
 )
 BOSONIC_FAMILIES = ("rabi_full", "effective_low", "effective_high")
+SECTORS = {"effective_low": Sector.LOW, "effective_high": Sector.HIGH}
 CRITICAL_MARGIN = 1e-6
 DEFAULT_OMEGA_RATIO = 1000.0  # reference Omega/omega when only x is given
 
@@ -84,11 +85,7 @@ class ModelSpec:
 
     @property
     def sector(self) -> Sector | None:
-        if self.family == "effective_low":
-            return Sector.LOW
-        if self.family == "effective_high":
-            return Sector.HIGH
-        return None
+        return SECTORS.get(self.family)
 
     def with_omega(self, omega: float) -> "ModelSpec":
         """Shift omega at fixed (g, Omega, N); x changes accordingly."""
@@ -184,27 +181,27 @@ def build_lmg(spec: ModelSpec) -> ModelInstance:
 
 
 @lru_cache(maxsize=8)
-def _chain_terms(N: int) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
-    """(sum sigma_z = d_omega H, sum sigma_x sigma_x, sum sigma_z sigma_z), periodic bonds."""
+def _chain_terms(N: int) -> tuple[HermitianOperator, np.ndarray, list[np.ndarray]]:
+    """(sum sigma_z = d_omega H, diagonal of sum sigma_z sigma_z, bond flips), periodic bonds.
+
+    sigma_x sigma_x on a bond maps state s to bond_flips[k][s].
+    """
     states, signs = spin.chain_bits(spin.ChainBasis(N))
     bonds = [(i, (i + 1) % N) for i in range(N)]  # periodic boundary
-    zz_sum = np.diag(sum(signs[:, i] * signs[:, j] for i, j in bonds))
-    xx_sum = np.zeros((states.size, states.size))
-    for i, j in bonds:
-        # sigma_x sigma_x flips the two bond bits
-        xx_sum[states ^ ((1 << i) | (1 << j)), states] += 1.0
-    for arr in (xx_sum, zz_sum):
-        arr.setflags(write=False)
-    return HermitianOperator(np.diag(signs.sum(axis=1))), xx_sum, zz_sum
+    zz_diag = sum(signs[:, i] * signs[:, j] for i, j in bonds)
+    bond_flips = [states ^ ((1 << i) | (1 << j)) for i, j in bonds]
+    return HermitianOperator(np.diag(signs.sum(axis=1))), zz_diag, bond_flips
 
 
 def _chain_hamiltonian(spec: ModelSpec, transverse: bool) -> ModelInstance:
     basis = spin.ChainBasis(spec.N)
-    z_sum, xx_sum, zz_sum = _chain_terms(spec.N)
-    H = spec.omega * z_sum.entries - spec.g * xx_sum
-    if transverse:
-        H = H + spec.g * zz_sum
-    H.setflags(write=False)  # handed to the operator without a 2^N x 2^N copy
+    z_sum, zz_diag, bond_flips = _chain_terms(spec.N)
+    H = np.zeros((basis.dim, basis.dim))
+    diag = spec.omega * np.diagonal(z_sum.entries)
+    np.fill_diagonal(H, diag + spec.g * zz_diag if transverse else diag)
+    states = np.arange(basis.dim)
+    for flips in bond_flips:
+        H[flips, states] = 0.0 - spec.g  # -g, and +0.0 rather than -0.0 at g = 0
     return ModelInstance(HermitianOperator(H), z_sum, spec, basis.basis_label)
 
 

@@ -24,7 +24,13 @@ from . import models
 from .errors import ConvergenceGuard, DegeneracyGuard, GapGuard, StepGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
-from .spectral import HermitianOperator, QuantumState, SpectralDecomposition, variance
+from .spectral import (
+    HermitianOperator,
+    QuantumState,
+    SpectralDecomposition,
+    energy_gap,
+    variance,
+)
 
 DEGENERACY_TOL = 1e-9
 RAMP_GAP_TOL = 1e-6
@@ -83,18 +89,23 @@ def qfi_analytic_squeezed(sector: Sector | str, omega: float, x: float) -> QfiRe
     )
 
 
+def _nondegenerate_gap(dec: SpectralDecomposition) -> float:
+    """E_1 - E_0, refused by DegeneracyGuard when at most DEGENERACY_TOL."""
+    gap = energy_gap(dec)
+    if gap <= DEGENERACY_TOL:
+        raise DegeneracyGuard(
+            f"ground state quasi-degenerate: gap {gap:.3e} <= {DEGENERACY_TOL:.0e}", gap=gap
+        )
+    return gap
+
+
 def qfi_spectral_sum(
     model: ModelInstance, dec: SpectralDecomposition | None = None
 ) -> QfiResult:
     """4 sum_{n!=0} |<psi_n|dH|psi_0>|^2 / (E_n - E_0)^2."""
     if dec is None:
         dec = models.ground_decomposition(model)
-    gap = dec.eigenvalues[1] - dec.eigenvalues[0]
-    if gap <= DEGENERACY_TOL:
-        raise DegeneracyGuard(
-            f"ground state quasi-degenerate: gap {gap:.3e} <= {DEGENERACY_TOL:.0e}",
-            gap=float(gap),
-        )
+    gap = _nondegenerate_gap(dec)
     v0 = dec.vectors[:, 0]
     matrix_elems = dec.vectors.conj().T @ (model.dH_domega.entries @ v0)
     dE = dec.eigenvalues - dec.eigenvalues[0]
@@ -103,7 +114,7 @@ def qfi_spectral_sum(
     retained = int(np.sum(terms > TERM_WEIGHT_CUTOFF * max(value, 1e-300)))
     diagnostics = {
         "terms_retained": retained,
-        "gap": float(gap),
+        "gap": gap,
         "dim": dec.dim,
         "dominant_term_fraction": float(terms.max() / value) if value > 0 else 1.0,
     }
@@ -148,18 +159,11 @@ def qfi_state_fd(
         spec = spec.with_n_max(inst.spec.n_max)  # same space at all three points
 
     def ground_at(omega: float, reference: np.ndarray) -> np.ndarray:
-        shifted = models.build(spec.with_omega(omega))
-        d = models.ground_decomposition(shifted)
-        gap = d.eigenvalues[1] - d.eigenvalues[0]
-        if gap <= DEGENERACY_TOL:
-            raise DegeneracyGuard(
-                f"quasi-degenerate at omega={omega}: gap {gap:.3e}", gap=float(gap)
-            )
+        d = models.ground_decomposition(models.build(spec.with_omega(omega)))
+        _nondegenerate_gap(d)
         return _aligned_ground(d, reference)
 
-    gap0 = dec.eigenvalues[1] - dec.eigenvalues[0]
-    if gap0 <= DEGENERACY_TOL:
-        raise DegeneracyGuard(f"quasi-degenerate: gap {gap0:.3e}", gap=float(gap0))
+    gap0 = _nondegenerate_gap(dec)
     psi0 = dec.vectors[:, 0]
     value = _fd_value(
         psi0,
@@ -167,7 +171,7 @@ def qfi_state_fd(
         ground_at(spec.omega - d_omega, psi0),
         d_omega,
     )
-    diagnostics: dict[str, Any] = {"d_omega": d_omega, "gap": float(gap0)}
+    diagnostics: dict[str, Any] = {"d_omega": d_omega, "gap": gap0}
     if check_step:
         half = _fd_value(
             psi0,
@@ -208,9 +212,8 @@ def qfi_oscillator_evolution(
 
 
 def _ramp_spec_at(family: str, omega: float, x: float, n_max: int | None, N: int | None) -> ModelSpec:
-    if family in ("effective_low", "effective_high"):
-        sector = Sector.LOW if family == "effective_low" else Sector.HIGH
-        return ModelSpec.effective(sector, omega=omega, x=x, n_max=n_max)
+    if family in models.SECTORS:
+        return ModelSpec.effective(models.SECTORS[family], omega=omega, x=x, n_max=n_max)
     if family in ("lmg", "tfim", "tfim_transverse"):
         return ModelSpec(family=family, omega=omega, g=math.sqrt(x) * omega, N=N)
     raise ValueError(f"unsupported family for ramps: {family!r}")

@@ -28,22 +28,12 @@ _HERMITICITY_PANEL_ROWS = 64
 
 
 def _freeze(arr) -> np.ndarray:
-    """Read-only contiguous float64 array for real input, complex128 for complex input.
+    """Read-only contiguous copy: float64 for real input, complex128 for complex input.
 
-    A read-only array that owns its memory and already has that form is
-    kept as it is: a builder hands its result over this way, without a
-    copy. Any other input is copied, so a caller's writable array stays
-    writable and cannot change the frozen one.
+    Always a copy, so a caller's array stays writable and cannot change the
+    frozen one.
     """
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    if (
-        isinstance(arr, np.ndarray)
-        and arr.base is None
-        and not arr.flags.writeable
-        and arr.dtype == dtype
-        and arr.flags.c_contiguous
-    ):
-        return arr
     out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
@@ -211,16 +201,19 @@ def expectation(A: HermitianOperator, s: QuantumState) -> float:
 
 
 def variance(A: HermitianOperator, s: QuantumState) -> float:
-    """||(A - <A>) s||^2, non-negative by construction.
+    """||(A - <A>) s||^2, non-negative by construction."""
+    if A.dim != s.dim:
+        raise DimensionGuard(f"operator dim {A.dim} != state dim {s.dim}")
+    return image_variance(s.amplitudes, A.entries @ s.amplitudes)
+
+
+def image_variance(psi: np.ndarray, image: np.ndarray) -> float:
+    """||image - <psi|image> psi||^2 for image = A psi: the variance of A in psi.
 
     Equal to <A^2> - <A>^2, but without its cancellation: a variance far
     below <A>^2 keeps its relative accuracy.
     """
-    if A.dim != s.dim:
-        raise DimensionGuard(f"operator dim {A.dim} != state dim {s.dim}")
-    w = A.entries @ s.amplitudes
-    mean = np.vdot(s.amplitudes, w).real
-    residual = w - mean * s.amplitudes
+    residual = image - np.vdot(psi, image).real * psi
     return float(np.vdot(residual, residual).real)
 
 

@@ -1,4 +1,5 @@
-"""Collective spin operators (Dicke subspace) and spin-chain site Paulis.
+"""Collective spin operators (Dicke subspace), spin-chain site Paulis and the
+chain's total spin applied to a state by bit flips.
 
 Chain basis convention: product states are indexed by bit patterns with
 site 1 as the least significant bit; bit i = 1 means spin i up.
@@ -22,7 +23,7 @@ _PAULI = {
 }
 
 CHAIN_N_MIN = 3
-CHAIN_N_MAX = 14
+CHAIN_N_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -102,20 +103,19 @@ def chain_bits(basis: ChainBasis) -> tuple[np.ndarray, np.ndarray]:
     return states, 2.0 * ((states[:, np.newaxis] >> np.arange(basis.N)) & 1) - 1.0
 
 
-@lru_cache(maxsize=4)
-def total_spin_ops(
-    basis: ChainBasis,
-) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """Collective S_alpha = sum_i sigma_alpha^(i) / 2 on the chain, built once per N."""
+def apply_total_spin(
+    basis: ChainBasis, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_x psi, S_y psi, S_z psi) for S_alpha = sum_i sigma_alpha^(i) / 2, from bit flips.
+
+    No operator matrix is built: each site's flip permutes the amplitudes.
+    """
     states, signs = chain_bits(basis)
-    sx = np.zeros((basis.dim, basis.dim))
-    sy = np.zeros((basis.dim, basis.dim), dtype=complex)
+    sx_psi = np.zeros(basis.dim, dtype=np.result_type(psi, np.float64))
+    sy_psi = np.zeros(basis.dim, dtype=np.complex128)
     for i in range(basis.N):
         # sigma_x|down> = |up>, sigma_y|down> = -i|up>, sigma_y|up> = i|down>
-        flipped = states ^ (1 << i)
-        sx[flipped, states] = 0.5
-        sy[flipped, states] = 0.5j * signs[:, i]
-    sz = np.diag(signs.sum(axis=1) / 2.0)
-    for arr in (sx, sy, sz):
-        arr.setflags(write=False)  # handed to the operators without a copy
-    return HermitianOperator(sx), HermitianOperator(sy), HermitianOperator(sz)
+        flipped = psi[states ^ (1 << i)]
+        sx_psi += 0.5 * flipped
+        sy_psi += -0.5j * signs[:, i] * flipped
+    return sx_psi, sy_psi, signs.sum(axis=1) / 2.0 * psi

@@ -21,8 +21,8 @@ from . import __version__, fock, models, qfi
 from .errors import NumericalGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelSpec
-from .spectral import expectation, variance
-from .spin import ChainBasis, DickeBasis, collective_spin_ops, total_spin_ops
+from .spectral import expectation, image_variance
+from .spin import ChainBasis, DickeBasis, apply_total_spin, collective_spin_ops
 
 LOW_SECTOR_EXCLUSION = 1e-3  # half-width of the window dropped around x = 1
 
@@ -133,6 +133,7 @@ class SweepConfig:
 
 
 def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
+    """Signed axis: low sector for x_signed >= 0, high for x_signed < 0."""
     sector = Sector.LOW if x_signed >= 0 else Sector.HIGH
     x = abs(x_signed)
     row: dict[str, Any] = {
@@ -172,21 +173,18 @@ def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
         g = g_over_gc * config.omega  # g_c = omega for every spin family here
         spec = ModelSpec(family=config.family, omega=config.omega, g=g, N=config.N)
         inst, dec = models.diagonalize_converged(spec)
-        ground = dec.eigenvector(0)
+        psi = dec.eigenvector(0).amplitudes
         if config.family == "lmg":
-            sx, sy, sz = collective_spin_ops(DickeBasis(config.N))
-        else:
-            sx, sy, sz = total_spin_ops(ChainBasis(config.N))
-        row["gap01"] = float(dec.eigenvalues[1] - dec.eigenvalues[0])
-        row["mean_sz"] = expectation(sz, ground)
-        if config.family == "lmg":
+            images = [op.entries @ psi for op in collective_spin_ops(DickeBasis(config.N))]
             # <Sz + N/2> as the mean of the non-negative diagonal m + N/2 = 0..N;
             # mean_sz + N/2 would cancel about log10(N / (2 <Sz + N/2>)) digits
-            probs = np.abs(ground.amplitudes) ** 2
-            row["mean_sz_plus_half_N"] = float(np.arange(config.N + 1) @ probs)
-        row["var_sx"] = variance(sx, ground)
-        row["var_sy"] = variance(sy, ground)
-        row["var_sz"] = variance(sz, ground)
+            row["mean_sz_plus_half_N"] = float(np.arange(config.N + 1) @ np.abs(psi) ** 2)
+        else:
+            images = apply_total_spin(ChainBasis(config.N), psi)
+        row["gap01"] = float(dec.eigenvalues[1] - dec.eigenvalues[0])
+        row["mean_sz"] = float(np.vdot(psi, images[2]).real)
+        for name, image in zip(("var_sx", "var_sy", "var_sz"), images):
+            row[name] = image_variance(psi, image)
         spectral = qfi.qfi_spectral_sum(inst, dec).value
         row["qfi_spectral"] = spectral
         if "qfi_fd" in config.effective_columns:
@@ -213,15 +211,9 @@ def _map_rows(
         return list(pool.map(func, [config] * len(points), points))
 
 
-def sweep_effective(config: SweepConfig) -> list[dict[str, Any]]:
-    """Signed-axis sweep: low sector for x_signed > 0, high for x_signed < 0."""
-    return _map_rows(_effective_row, config, config.grid)
-
-
 def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
-    if config.family == "effective":
-        return sweep_effective(config)
-    return _map_rows(_spin_row, config, config.grid)
+    make_row = _effective_row if config.family == "effective" else _spin_row
+    return _map_rows(make_row, config, config.grid)
 
 
 def convergence_report(
@@ -238,8 +230,7 @@ def convergence_report(
         if family == "rabi_full":
             spec = ModelSpec.rabi(omega, models.DEFAULT_OMEGA_RATIO * omega, x, n_max=level)
         else:
-            sector = Sector.LOW if family == "effective_low" else Sector.HIGH
-            spec = ModelSpec.effective(sector, omega=omega, x=x, n_max=level)
+            spec = ModelSpec.effective(models.SECTORS[family], omega=omega, x=x, n_max=level)
         inst = models.build(spec)
         dec = models.ground_decomposition(inst, check_truncation=False)
         ground = dec.eigenvector(0)

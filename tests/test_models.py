@@ -195,6 +195,28 @@ class TestSpinModels:
         gm = dec_m.eigenvalues[1] - dec_m.eigenvalues[0]
         assert abs(gp - gm) > 1e-3
 
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    @pytest.mark.parametrize("family", ["tfim", "tfim_transverse"])
+    @pytest.mark.parametrize("g", [0.7, -1.3])
+    def test_chain_matches_site_paulis(self, N, family, g):
+        from anticrit.spin import ChainBasis, site_pauli
+
+        basis = ChainBasis(N)
+        sigma = {
+            axis: [site_pauli(basis, i, axis).entries for i in range(1, N + 1)]
+            for axis in "xz"
+        }
+
+        def bond_sum(axis):
+            return sum(sigma[axis][i] @ sigma[axis][(i + 1) % N] for i in range(N))
+
+        omega = 1.1
+        reference = omega * sum(sigma["z"]) - g * bond_sum("x")
+        if family == "tfim_transverse":
+            reference = reference + g * bond_sum("z")
+        H = build(ModelSpec(family=family, omega=omega, g=g, N=N)).H.entries
+        assert np.array_equal(H, reference)
+
     def test_transverse_gap_opens_for_negative_g(self):
         # sign found by direct diagonalization, not assumed
         _, dec0 = diagonalize_converged(

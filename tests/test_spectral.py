@@ -73,10 +73,10 @@ class TestEigendecompose:
         amps[0] = 0.5
         assert state.amplitudes[0] == 1.0
 
-    def test_read_only_owner_handed_over_view_copied(self):
+    def test_read_only_input_copied(self):
         owned = np.eye(3)
         owned.setflags(write=False)
-        assert HermitianOperator(owned).entries is owned  # no copy
+        assert HermitianOperator(owned).entries is not owned
         base = np.eye(3)
         view = base[:]
         view.setflags(write=False)

@@ -5,10 +5,16 @@ from anticrit.errors import IndexGuard
 from anticrit.spin import (
     ChainBasis,
     DickeBasis,
+    apply_total_spin,
     collective_spin_ops,
     site_pauli,
-    total_spin_ops,
 )
+
+
+def total_spin_matrices(basis):
+    """(S_x, S_y, S_z) as matrices, column s being apply_total_spin on basis vector s."""
+    columns = [apply_total_spin(basis, e) for e in np.eye(basis.dim)]
+    return tuple(np.column_stack([c[k] for c in columns]) for k in range(3))
 
 
 class TestDicke:
@@ -38,6 +44,8 @@ class TestChain:
     def test_bounds(self):
         with pytest.raises(ValueError):
             ChainBasis(2)
+        with pytest.raises(ValueError):
+            ChainBasis(13)
         with pytest.raises(ValueError):
             ChainBasis(15)
 
@@ -84,13 +92,13 @@ class TestChain:
         assert np.abs(prod - prod.conj().T).max() <= 1e-12
 
     def test_total_spin_su2(self):
-        sx, sy, sz = total_spin_ops(ChainBasis(5))
-        comm = sx.entries @ sy.entries - sy.entries @ sx.entries
-        assert np.abs(comm - 1j * sz.entries).max() <= 1e-12
+        sx, sy, sz = total_spin_matrices(ChainBasis(5))
+        comm = sx @ sy - sy @ sx
+        assert np.abs(comm - 1j * sz).max() <= 1e-12
 
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_total_spin_matches_site_paulis(self, N):
         basis = ChainBasis(N)
-        for axis, op in zip("xyz", total_spin_ops(basis)):
+        for axis, op in zip("xyz", total_spin_matrices(basis)):
             reference = sum(site_pauli(basis, i, axis).entries for i in range(1, N + 1)) / 2
-            assert np.array_equal(op.entries, reference), axis
+            assert np.array_equal(op, reference), axis

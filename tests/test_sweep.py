@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +143,39 @@ class TestSpinSweeps:
         )
         for row in rows:
             assert row["qfi_fd"] == pytest.approx(row["qfi_spectral"], rel=1e-4)
+
+    @pytest.mark.parametrize("family", ["tfim", "tfim_transverse"])
+    def test_chain_moments_match_dense_site_paulis(self, family):
+        from anticrit.spectral import HermitianOperator, expectation, variance
+        from anticrit.spin import ChainBasis, site_pauli
+
+        basis = ChainBasis(6)
+        sx, sy, sz = (
+            HermitianOperator(sum(site_pauli(basis, i, axis).entries for i in range(1, 7)) / 2)
+            for axis in "xyz"
+        )
+        grid = (-1.5, 0.3, 0.9)
+        for g, row in zip(grid, run_sweep(SweepConfig(family=family, grid=grid, N=6))):
+            _, dec = models.diagonalize_converged(ModelSpec(family=family, omega=1.0, g=g, N=6))
+            ground = dec.eigenvector(0)
+            assert row["mean_sz"] == pytest.approx(expectation(sz, ground), abs=1e-12)
+            for name, op in (("var_sx", sx), ("var_sy", sy), ("var_sz", sz)):
+                assert row[name] == pytest.approx(variance(op, ground), abs=1e-12), name
+
+    def test_chain_row_retains_only_d_omega_h(self):
+        # after one N=10 row only the cached d_omega H (2^N x 2^N float64) may stay held
+        models._chain_terms.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = run_sweep(SweepConfig(family="tfim", grid=(0.5,), N=10))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rows[0]["status"] == "ok"
+        assert retained <= 8 * 4**10 + 2**20
 
 
 class TestConvergenceReport:
