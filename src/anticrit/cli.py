@@ -23,8 +23,10 @@ EXIT_GUARD = 3
 CONFIG_DEFAULTS: dict[str, tuple[str, str]] = {
     "omega": ("1.0", "oscillator / spin frequency, the unit of energy"),
     "Omega": ("", "qubit splitting (rabi_full); empty = 1000 * omega"),
-    "n_max": ("300", "initial Fock truncation; doubled automatically up to 4096"),
-    "N": ("", "spin count; defaults: 200 (lmg), 10 (chains)"),
+    "n_max": (
+        str(fock.DEFAULT_N_MAX), "initial Fock truncation; doubled automatically up to 4096"
+    ),
+    "N": ("", "spin count; defaults: {lmg} (lmg), {tfim} (chains)".format_map(models.DEFAULT_N)),
     "d_omega": ("", "finite-difference step; empty = 1e-5 * omega"),
     "method": ("spectral_sum", "default QFI estimator for the qfi subcommand"),
     "grid": ("", "start:stop:count grid override for sweeps"),
@@ -34,10 +36,12 @@ CONFIG_DEFAULTS: dict[str, tuple[str, str]] = {
     "levels": ("100,200,400", "truncation levels for the converge subcommand"),
     "t": ("1.0", "free evolution time for phase_imprint / oscillator_evolution"),
     "var_c": ("1.0", "initial-state number variance for oscillator_evolution"),
-    "degeneracy_tol": ("1e-09", "ground-state gap below which estimators refuse"),
-    "truncation_tol": ("1e-10", "max population allowed in the top two Fock levels"),
-    "ramp_gap_tol": ("1e-06", "minimal instantaneous gap along adiabatic ramps"),
-    "max_dim": ("16384", "largest matrix the eigensolver will accept"),
+    "degeneracy_tol": (str(qfi.DEGENERACY_TOL), "ground-state gap below which estimators refuse"),
+    "truncation_tol": (
+        str(fock.TRUNCATION_TOL), "max population allowed in the top two Fock levels"
+    ),
+    "ramp_gap_tol": (str(qfi.RAMP_GAP_TOL), "minimal instantaneous gap along adiabatic ramps"),
+    "max_dim": (str(spectral.MAX_DIM), "largest matrix the eigensolver will accept"),
 }
 
 _TOLERANCE_KEYS = ("degeneracy_tol", "truncation_tol", "ramp_gap_tol", "max_dim")
@@ -99,29 +103,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _model_spec(args, cfg: dict[str, str]) -> ModelSpec:
-    family = args.family
-    omega = _setting(args, cfg, "omega", float, 1.0)
-    n_max = _setting(args, cfg, "n_max", int)
-    N = _setting(args, cfg, "N", int)
-    if family in models.SECTORS:
-        if args.x is None:
-            raise ValueError(f"{family} needs --x")
-        return ModelSpec.effective(models.SECTORS[family], omega=omega, x=args.x, n_max=n_max)
-    if family == "rabi_full":
-        Omega = _setting(args, cfg, "Omega", float, models.DEFAULT_OMEGA_RATIO * omega)
-        if args.x is not None:
-            return ModelSpec.rabi(omega, Omega, args.x, n_max=n_max)
-        return ModelSpec(family=family, omega=omega, g=args.g or 0.0, Omega=Omega, n_max=n_max)
-    if N is None:
-        N = 200 if family == "lmg" else 10
+    """The spec at --g when given, else at --x; unset fields take the family defaults."""
+    fields = dict(
+        omega=_setting(args, cfg, "omega", float, 1.0),
+        Omega=_setting(args, cfg, "Omega", float),
+        N=_setting(args, cfg, "N", int),
+        n_max=_setting(args, cfg, "n_max", int),
+    )
     if args.g is not None:
-        g = args.g
-    elif args.x is not None:
-        # spin families: g_c = omega, signed couplings enter through --g
-        g = (args.x**0.5) * omega
-    else:
-        g = 0.0
-    return ModelSpec(family=family, omega=omega, g=g, N=N)
+        return ModelSpec(family=args.family, g=args.g, **fields)
+    return ModelSpec.at(args.family, args.x, **fields)
 
 
 def _print_result(result: qfi.QfiResult, verbose: bool) -> None:
@@ -266,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, default=None)
         p.add_argument("--Omega", type=float, default=None)
         p.add_argument("--g", type=float, default=None)
-        p.add_argument("--x", type=float, default=None)
+        p.add_argument("--x", type=float, default=0.0)
         p.add_argument("--N", type=int, default=None)
         p.add_argument("--n-max", dest="n_max", type=int, default=None)
         p.add_argument("--verbose", action="store_true")

@@ -79,15 +79,13 @@ class SqueezingParameters:
 def squeezing_parameter(sector: Sector | str, x: float) -> SqueezingParameters:
     """xi_- = -ln(1-x)/4 (low), xi_+ = -ln(1+x)/4 (high)."""
     sector = Sector(sector)
+    if x < 0.0:
+        raise ValueError(f"x must be >= 0, got {x}")
     if sector is Sector.LOW:
         if x >= 1.0:
             raise CriticalPointGuard(f"low sector needs x < 1 (gap closed at x={x})")
-        if x < 0.0:
-            raise ValueError(f"low sector needs x >= 0, got {x}")
         xi = -0.25 * math.log1p(-x)
     else:
-        if x < 0.0:
-            raise ValueError(f"high sector needs x >= 0, got {x}")
         xi = -0.25 * math.log1p(x)
     return SqueezingParameters(sector, xi, x)
 

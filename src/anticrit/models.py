@@ -37,12 +37,16 @@ FAMILIES = (
 BOSONIC_FAMILIES = ("rabi_full", "effective_low", "effective_high")
 SECTORS = {"effective_low": Sector.LOW, "effective_high": Sector.HIGH}
 CRITICAL_MARGIN = 1e-6
-DEFAULT_OMEGA_RATIO = 1000.0  # reference Omega/omega when only x is given
+DEFAULT_OMEGA_RATIO = 1000.0  # Omega/omega of a bosonic spec built without Omega
+DEFAULT_N = {"lmg": 200, "tfim": 10, "tfim_transverse": 10}  # spin count of a spec built without N
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One point of a model family; x = g^2/g_c^2 is always derived."""
+    """One point of a model family; x = g^2/g_c^2 is always derived.
+
+    Omega, N and n_max left at None take the family's default.
+    """
 
     family: str
     omega: float
@@ -57,7 +61,9 @@ class ModelSpec:
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.family in BOSONIC_FAMILIES:
-            if self.Omega is None or self.Omega <= 0:
+            if self.Omega is None:
+                object.__setattr__(self, "Omega", DEFAULT_OMEGA_RATIO * self.omega)
+            if self.Omega <= 0:
                 raise ValueError(f"{self.family} needs Omega > 0")
             if self.n_max is None:
                 object.__setattr__(self, "n_max", fock.DEFAULT_N_MAX)
@@ -65,9 +71,8 @@ class ModelSpec:
                 raise CriticalPointGuard(
                     f"effective_low requires g^2/(omega*Omega) < 1 - {CRITICAL_MARGIN}, got x={self.x}"
                 )
-        else:
-            if self.N is None:
-                raise ValueError(f"{self.family} needs a spin count N")
+        elif self.N is None:
+            object.__setattr__(self, "N", DEFAULT_N[self.family])
 
     @property
     def g_c(self) -> float:
@@ -95,29 +100,32 @@ class ModelSpec:
         return dataclasses.replace(self, n_max=n_max)
 
     @classmethod
-    def effective(
-        cls,
-        sector: Sector | str,
-        omega: float = 1.0,
-        x: float = 0.0,
-        n_max: int | None = None,
-        omega_ratio: float = DEFAULT_OMEGA_RATIO,
-    ) -> "ModelSpec":
-        """Effective sector model at reduced coupling x, Omega eliminated."""
-        sector = Sector(sector)
+    def at(cls, family: str, x: float, omega: float = 1.0, **fields) -> "ModelSpec":
+        """The point at reduced coupling x >= 0: g = sqrt(x omega Omega) (bosonic) or sqrt(x) omega.
+
+        A negative spin coupling g has no x; build it with the constructor.
+        """
         if x < 0:
             raise ValueError(f"x must be >= 0, got {x}")
-        Omega = omega_ratio * omega
-        g = math.sqrt(x * omega * Omega)
-        family = "effective_low" if sector is Sector.LOW else "effective_high"
-        return cls(family=family, omega=omega, g=g, Omega=Omega, n_max=n_max)
+        free = cls(family=family, omega=omega, **fields)  # defaults filled, no guard at g = 0
+        if family in BOSONIC_FAMILIES:
+            g = math.sqrt(x * omega * free.Omega)
+        else:
+            g = math.sqrt(x) * omega
+        return dataclasses.replace(free, g=g)
+
+    @classmethod
+    def effective(
+        cls, sector: Sector | str, omega: float = 1.0, x: float = 0.0, n_max: int | None = None
+    ) -> "ModelSpec":
+        """Effective sector model at reduced coupling x, Omega eliminated."""
+        return cls.at(f"effective_{Sector(sector).value}", x, omega, n_max=n_max)
 
     @classmethod
     def rabi(
         cls, omega: float, Omega: float, x: float, n_max: int | None = None
     ) -> "ModelSpec":
-        g = math.sqrt(x * omega * Omega)
-        return cls(family="rabi_full", omega=omega, g=g, Omega=Omega, n_max=n_max)
+        return cls.at("rabi_full", x, omega, Omega=Omega, n_max=n_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +250,8 @@ def effective_frequency(sector: Sector | str, omega: float, x: float) -> float:
 def frequency_derivative_factor(sector: Sector | str, x: float) -> float:
     """(d_omega omega sqrt(1 -/+ x))^2 = (2 -/+ x)^2 / (4 (1 -/+ x))."""
     sector = Sector(sector)
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
     if sector is Sector.LOW:
         if x >= 1.0 - CRITICAL_MARGIN:
             raise CriticalPointGuard(f"low sector derivative undefined at x={x}")

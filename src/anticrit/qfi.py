@@ -211,14 +211,6 @@ def qfi_oscillator_evolution(
     )
 
 
-def _ramp_spec_at(family: str, omega: float, x: float, n_max: int | None, N: int | None) -> ModelSpec:
-    if family in models.SECTORS:
-        return ModelSpec.effective(models.SECTORS[family], omega=omega, x=x, n_max=n_max)
-    if family in ("lmg", "tfim", "tfim_transverse"):
-        return ModelSpec(family=family, omega=omega, g=math.sqrt(x) * omega, N=N)
-    raise ValueError(f"unsupported family for ramps: {family!r}")
-
-
 def _generator_value(
     ts: np.ndarray, energies: np.ndarray, elems: np.ndarray
 ) -> float:
@@ -238,6 +230,9 @@ def qfi_adiabatic_generator(
     check_convergence: bool = True,
 ) -> QfiResult:
     """4 Var(G) for the adiabatic generator G = i U^dag d_omega U along the ramp."""
+    if family == "rabi_full":
+        # levels of its two parity sectors cross; index tracking cannot follow a crossing
+        raise ValueError(f"unsupported family for ramps: {family!r}")
     ts = np.linspace(0.0, ramp.T, ramp.steps)
     xs = np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
 
@@ -252,7 +247,7 @@ def qfi_adiabatic_generator(
             energies[k] = energies[0]
             elems[k] = elems[0]
             continue
-        spec = _ramp_spec_at(family, omega, float(x), n_max, N)
+        spec = ModelSpec.at(family, float(x), omega, n_max=n_max, N=N)
         inst, dec = models.diagonalize_converged(spec)
         if np.iscomplexobj(inst.H.entries):
             raise ValueError("ramp requires a real-symmetric Hamiltonian family")

@@ -159,17 +159,14 @@ def _solve_parity_blocks(
     return vals[order], vecs
 
 
-def eigendecompose(
-    H: HermitianOperator, basis: str = "", max_dim: int | None = None
-) -> SpectralDecomposition:
+def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecomposition:
     """Full Hermitian solve with deterministic phase fixing.
 
     A real H whose nonzeros lie only on diagonals 0 and +/-2 is solved as
     its even and odd tridiagonal blocks; any other H by one dense call.
     """
-    limit = MAX_DIM if max_dim is None else max_dim
-    if H.dim > limit:
-        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {limit}")
+    if H.dim > MAX_DIM:
+        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
     bands = _parity_bands(H.entries)
     if bands is None:
         vals, vecs = sla.eigh(H.entries, driver="evd")

@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__, fock, models, qfi
 from .errors import NumericalGuard
 from .fock import Sector, squeezing_parameter
-from .models import ModelSpec
-from .spectral import expectation, image_variance
+from .models import ModelInstance, ModelSpec
+from .spectral import SpectralDecomposition, expectation, image_variance
 from .spin import ChainBasis, DickeBasis, apply_total_spin, collective_spin_ops
 
 LOW_SECTOR_EXCLUSION = 1e-3  # half-width of the window dropped around x = 1
@@ -116,10 +116,8 @@ class SweepConfig:
                 v for v in grid if not (abs(v - 1.0) <= LOW_SECTOR_EXCLUSION)
             )
         object.__setattr__(self, "grid", grid)
-        if self.family == "lmg" and self.N is None:
-            object.__setattr__(self, "N", 200)
-        if self.family in ("tfim", "tfim_transverse") and self.N is None:
-            object.__setattr__(self, "N", 10)
+        if self.N is None:  # recorded in .meta.json, so filled here and not only by ModelSpec
+            object.__setattr__(self, "N", models.DEFAULT_N.get(self.family))
 
     @property
     def effective_columns(self) -> tuple[str, ...]:
@@ -130,6 +128,25 @@ class SweepConfig:
         if self.family == "lmg":
             return LMG_COLUMNS
         return CHAIN_DEFAULT_COLUMNS
+
+
+def _fill_qfi_cells(
+    row: dict[str, Any],
+    inst: ModelInstance,
+    dec: SpectralDecomposition,
+    with_fd: bool,
+    check_step: bool = True,
+) -> None:
+    """gap01, qfi_spectral, qfi_fd if asked for, and the gap-normalized QFI, in that order.
+
+    A guard raised on the way leaves the cells filled before it.
+    """
+    row["gap01"] = float(dec.eigenvalues[1] - dec.eigenvalues[0])
+    spectral = qfi.qfi_spectral_sum(inst, dec).value
+    row["qfi_spectral"] = spectral
+    if with_fd:
+        row["qfi_fd"] = qfi.qfi_state_fd(inst.spec, check_step=check_step, centre=(inst, dec)).value
+    row["qfi_times_gap"], row["qfi_times_gap_sq"] = qfi.normalized_metrics(spectral, row["gap01"])
 
 
 def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
@@ -147,17 +164,10 @@ def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
         row["xi"] = squeezing_parameter(sector, x).xi
         spec = ModelSpec.effective(sector, omega=config.omega, x=x, n_max=config.n_max)
         inst, dec = models.diagonalize_converged(spec)
-        ground = dec.eigenvector(0)
-        row["gap01"] = float(dec.eigenvalues[1] - dec.eigenvalues[0])
         row["gap02"] = float(dec.eigenvalues[2] - dec.eigenvalues[0])
-        row["mean_n"] = expectation(inst.dH_domega, ground)
+        row["mean_n"] = expectation(inst.dH_domega, dec.eigenvector(0))
         row["qfi_analytic"] = qfi.qfi_analytic_squeezed(sector, config.omega, x).value
-        spectral = qfi.qfi_spectral_sum(inst, dec).value
-        row["qfi_spectral"] = spectral
-        row["qfi_fd"] = qfi.qfi_state_fd(inst.spec, centre=(inst, dec)).value
-        per_time, per_time_sq = qfi.normalized_metrics(spectral, row["gap01"])
-        row["qfi_times_gap"] = per_time
-        row["qfi_times_gap_sq"] = per_time_sq
+        _fill_qfi_cells(row, inst, dec, with_fd=True)
     except NumericalGuard as guard:
         row["status"] = type(guard).__name__
     return row
@@ -181,19 +191,14 @@ def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
             row["mean_sz_plus_half_N"] = float(np.arange(config.N + 1) @ np.abs(psi) ** 2)
         else:
             images = apply_total_spin(ChainBasis(config.N), psi)
-        row["gap01"] = float(dec.eigenvalues[1] - dec.eigenvalues[0])
         row["mean_sz"] = float(np.vdot(psi, images[2]).real)
         for name, image in zip(("var_sx", "var_sy", "var_sz"), images):
             row[name] = image_variance(psi, image)
-        spectral = qfi.qfi_spectral_sum(inst, dec).value
-        row["qfi_spectral"] = spectral
-        if "qfi_fd" in config.effective_columns:
-            row["qfi_fd"] = qfi.qfi_state_fd(
-                spec, check_step=config.family == "lmg", centre=(inst, dec)
-            ).value
-        per_time, per_time_sq = qfi.normalized_metrics(spectral, row["gap01"])
-        row["qfi_times_gap"] = per_time
-        row["qfi_times_gap_sq"] = per_time_sq
+        _fill_qfi_cells(
+            row, inst, dec,
+            with_fd="qfi_fd" in config.effective_columns,
+            check_step=config.family == "lmg",
+        )
     except NumericalGuard as guard:
         row["status"] = type(guard).__name__
     return row
@@ -227,11 +232,7 @@ def convergence_report(
     rows: list[dict[str, Any]] = []
     previous = None
     for level in levels:
-        if family == "rabi_full":
-            spec = ModelSpec.rabi(omega, models.DEFAULT_OMEGA_RATIO * omega, x, n_max=level)
-        else:
-            spec = ModelSpec.effective(models.SECTORS[family], omega=omega, x=x, n_max=level)
-        inst = models.build(spec)
+        inst = models.build(ModelSpec.at(family, x, omega, n_max=level))
         dec = models.ground_decomposition(inst, check_truncation=False)
         ground = dec.eigenvector(0)
         row = {

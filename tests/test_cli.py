@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from anticrit import fock, qfi, spectral
 from anticrit.cli import emit_config_template, main, parse_config
 from anticrit.sweep import CHAIN_DEFAULT_COLUMNS
 
@@ -85,6 +86,33 @@ class TestGapCommand:
         assert float(out.splitlines()[0]) == pytest.approx(0.5, abs=1e-8)
 
 
+class TestNegativeX:
+    @pytest.mark.parametrize("command", ["qfi", "gap"])
+    @pytest.mark.parametrize(
+        "family,extra",
+        [
+            ("lmg", ()),
+            ("tfim", ("--N", "4")),
+            ("rabi_full", ("--n-max", "40")),
+            ("effective_low", ()),
+        ],
+    )
+    def test_usage_error(self, capsys, command, family, extra):
+        code, out, err = run_cli(capsys, command, "--family", family, "--x", "-0.5", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: x must be >= 0, got -0.5\n"
+
+    @pytest.mark.parametrize(
+        "method", ["analytic", "state_fd", "phase_imprint", "oscillator_evolution"]
+    )
+    def test_every_qfi_method(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "qfi", "--family", "effective_high", "--x", "-0.5", "--method", method
+        )
+        assert (code, out, err) == (2, "", "error: x must be >= 0, got -0.5\n")
+
+
 class TestSweepCommand:
     def test_stdout_grid(self, capsys):
         code, out, _ = run_cli(
@@ -149,6 +177,22 @@ class TestAdiabaticCommand:
         assert float(out.splitlines()[0]) > 0
 
 
+    @pytest.mark.parametrize(
+        "family,default_n,ramp",
+        [
+            ("lmg", "200", ("--x-start", "0.1", "--x-end", "0.3", "--T", "2", "--steps", "101")),
+            # x_start == x_end: the ramp solves the 2^10-dim chain once
+            ("tfim", "10", ("--x-start", "0.3", "--T", "2", "--steps", "1001")),
+            ("tfim_transverse", "10", ("--x-start", "0.3", "--T", "2", "--steps", "1001")),
+        ],
+    )
+    def test_spin_count_default(self, capsys, family, default_n, ramp):
+        code, out, err = run_cli(capsys, "adiabatic", "--family", family, *ramp)
+        assert (code, err) == (0, "")
+        explicit = run_cli(capsys, "adiabatic", "--family", family, *ramp, "--N", default_n)
+        assert explicit == (0, out, "")
+
+
 class TestConvergeCommand:
     def test_report(self, capsys):
         code, out, _ = run_cli(
@@ -167,6 +211,14 @@ class TestConfig:
         text = emit_config_template()
         values = parse_config(text)
         assert emit_config_template(values) == text  # idempotent
+
+    def test_template_reads_library_constants(self):
+        values = parse_config(emit_config_template())
+        assert int(values["n_max"]) == fock.DEFAULT_N_MAX
+        assert float(values["degeneracy_tol"]) == qfi.DEGENERACY_TOL
+        assert float(values["truncation_tol"]) == fock.TRUNCATION_TOL
+        assert float(values["ramp_gap_tol"]) == qfi.RAMP_GAP_TOL
+        assert int(values["max_dim"]) == spectral.MAX_DIM
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,49 @@ class TestDerivativeConvention:
         assert np.abs(fd - inst.dH_domega.entries).max() <= 1e-8
 
 
+class TestConstructor:
+    """ModelSpec.at is the one (family, x) -> spec map; unset fields take family defaults."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.5, 0.75, 0.97, 2.0, 16.0])
+    def test_at_matches_named_constructors(self, x):
+        if x < 1.0 - models.CRITICAL_MARGIN:
+            low = ModelSpec.at("effective_low", x, 1.3, n_max=80)
+            assert low == ModelSpec.effective("low", omega=1.3, x=x, n_max=80)
+            assert low.g == math.sqrt(x * 1.3 * (1000.0 * 1.3))
+        high = ModelSpec.at("effective_high", x, 0.7)
+        assert high == ModelSpec.effective("high", omega=0.7, x=x)
+        assert high.g == math.sqrt(x * 0.7 * (1000.0 * 0.7))
+        rabi = ModelSpec.at("rabi_full", x, 1.0, Omega=50.0, n_max=60)
+        assert rabi == ModelSpec.rabi(1.0, 50.0, x, n_max=60)
+        assert rabi.g == math.sqrt(x * 1.0 * 50.0)
+
+    @pytest.mark.parametrize("family", ["lmg", "tfim", "tfim_transverse"])
+    @pytest.mark.parametrize("x", [0.0, 0.3, 2.5])
+    def test_at_spin_coupling(self, family, x):
+        spec = ModelSpec.at(family, x, 1.7, N=4)
+        assert spec.g == math.sqrt(x) * 1.7
+        assert spec.x == pytest.approx(x, rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_at_rejects_negative_x(self, family):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            ModelSpec.at(family, -0.5)
+
+    @pytest.mark.parametrize("family", ["lmg", "tfim", "tfim_transverse"])
+    def test_default_spin_count(self, family):
+        assert ModelSpec(family=family, omega=1.0, g=0.3).N == models.DEFAULT_N[family]
+        assert ModelSpec.at(family, 0.3).N == models.DEFAULT_N[family]
+        assert ModelSpec(family=family, omega=1.0, N=6).N == 6
+
+    @pytest.mark.parametrize("family", models.BOSONIC_FAMILIES)
+    def test_default_omega_ratio_fixed_under_with_omega(self, family):
+        spec = ModelSpec(family=family, omega=2.0, g=0.5)
+        assert spec.Omega == 1000.0 * 2.0
+        shifted = spec.with_omega(2.0 + 1e-5)
+        assert shifted.Omega == spec.Omega  # d_omega H is taken at fixed Omega
+        assert shifted.g == spec.g
+
+
 class TestRabiFull:
     def test_decoupled_ground_energy(self):
         spec = ModelSpec(family="rabi_full", omega=1.0, g=0.0, Omega=7.0, n_max=40)

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anticrit import spectral
 from anticrit.errors import (
     BasisGuard,
     DimensionGuard,
@@ -84,10 +85,11 @@ class TestEigendecompose:
         base[0, 0] = 5.0
         assert op.entries[0, 0] == 1.0
 
-    def test_dimension_guard(self):
+    def test_dimension_guard(self, monkeypatch):
         op = random_hermitian(4, 0)
+        monkeypatch.setattr(spectral, "MAX_DIM", 3)
         with pytest.raises(DimensionGuard):
-            eigendecompose(op, max_dim=3)
+            eigendecompose(op)
 
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(2, 12), seed=st.integers(0, 10**6))
