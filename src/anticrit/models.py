@@ -240,6 +240,8 @@ def build(spec: ModelSpec) -> ModelInstance:
 def effective_frequency(sector: Sector | str, omega: float, x: float) -> float:
     """omega sqrt(1 -/+ x) = omega exp(-2 xi)."""
     sector = Sector(sector)
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
     if sector is Sector.LOW:
         if x >= 1.0 - CRITICAL_MARGIN:
             raise CriticalPointGuard(f"low sector frequency undefined at x={x}")

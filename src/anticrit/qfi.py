@@ -230,13 +230,17 @@ def qfi_adiabatic_generator(
     check_convergence: bool = True,
 ) -> QfiResult:
     """4 Var(G) for the adiabatic generator G = i U^dag d_omega U along the ramp."""
-    if family == "rabi_full":
-        # levels of its two parity sectors cross; index tracking cannot follow a crossing
+    constant = ramp.schedule == "constant" or ramp.x_start == ramp.x_end
+    if family == "rabi_full" or (family in ("tfim", "tfim_transverse") and not constant):
+        # levels cross (rabi_full's two parity sectors) or sit in exactly degenerate
+        # clusters (chains); index tracking cannot follow either. A constant ramp
+        # copies step 0, so it tracks nothing.
         raise ValueError(f"unsupported family for ramps: {family!r}")
+    if check_convergence and ramp.steps % 2 == 0:
+        raise ValueError(f"the step-halving check needs an odd step count, got {ramp.steps}")
     ts = np.linspace(0.0, ramp.T, ramp.steps)
     xs = np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
 
-    constant = ramp.schedule == "constant" or ramp.x_start == ramp.x_end
     dim = None
     energies = None
     elems = None
@@ -279,7 +283,7 @@ def qfi_adiabatic_generator(
         "min_gap": min_gap,
         "berry_term_imag_max": 0.0,  # real gauge on real-symmetric families
     }
-    if check_convergence and ramp.steps % 2 == 1:
+    if check_convergence:
         coarse = _generator_value(ts[::2], energies[::2], elems[::2])
         scale = max(abs(value), abs(coarse))
         shift = abs(value - coarse) / scale if scale > 1e-10 else 0.0

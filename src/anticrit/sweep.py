@@ -260,18 +260,23 @@ def format_cell(value: Any) -> str:
     return repr(float(value))
 
 
+def csv_text(rows: list[dict[str, Any]], columns: tuple[str, ...]) -> str:
+    """Stable CSV: fixed header, shortest round-trip floats, empty = unavailable."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format_cell(row.get(col)) for col in columns))
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(
     rows: list[dict[str, Any]],
     columns: tuple[str, ...],
     path: Path,
     metadata: dict[str, Any] | None = None,
 ) -> None:
-    """Stable CSV: fixed header, shortest round-trip floats, empty = unavailable."""
+    """``csv_text`` at path, with the metadata as a .meta.json sidecar when given."""
     path = Path(path)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(row.get(col)) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(rows, columns))
     if metadata is not None:
         sidecar = path.with_suffix(".meta.json")
         sidecar.write_text(json.dumps(metadata, sort_keys=True, indent=2) + "\n")

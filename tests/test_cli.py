@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from anticrit import fock, qfi, spectral
+from anticrit import fock, qfi, spectral, sweep
 from anticrit.cli import emit_config_template, main, parse_config
 from anticrit.sweep import CHAIN_DEFAULT_COLUMNS
 
@@ -192,6 +192,16 @@ class TestAdiabaticCommand:
         explicit = run_cli(capsys, "adiabatic", "--family", family, *ramp, "--N", default_n)
         assert explicit == (0, out, "")
 
+    @pytest.mark.parametrize("flag", [("--x", "3"), ("--g", "5"), ("--Omega", "2")])
+    def test_coupling_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "adiabatic", "--family", "lmg", "--x-start", "0.1", "--x-end", "0.3",
+                "--T", "2", "--steps", "101", *flag,
+            ])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err.splitlines()[-1]
+
 
 class TestConvergeCommand:
     def test_report(self, capsys):
@@ -219,6 +229,9 @@ class TestConfig:
         assert float(values["truncation_tol"]) == fock.TRUNCATION_TOL
         assert float(values["ramp_gap_tol"]) == qfi.RAMP_GAP_TOL
         assert int(values["max_dim"]) == spectral.MAX_DIM
+        assert int(values["steps"]) == qfi.RampSpec.steps
+        assert int(values["jobs"]) == sweep.SweepConfig.jobs
+        assert f"up to {fock.N_MAX_CAP}\n" in emit_config_template()
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
@@ -262,6 +275,58 @@ class TestConfig:
         assert float(out.splitlines()[0]) == pytest.approx(
             0.25**2 / (8 * 0.75**2), rel=1e-12
         )
+
+
+    def test_bad_value_exits_through_argparse(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("steps=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--config", str(cfg), "adiabatic", "--family", "effective_low",
+                "--x-start", "0.25", "--T", "1.0",
+            ])
+        assert exc.value.code == 2
+        assert "argument --steps: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qfi", "--family", "effective_low", "--x", "0.25"),
+            ("qfi", "--family", "lmg", "--N", "20", "--x", "0.5", "--method", "state_fd"),
+            ("gap", "--family", "lmg", "--N", "20", "--x", "0.5", "--verbose"),
+            ("adiabatic", "--family", "lmg", "--N", "20", "--x-start", "0.1", "--x-end", "0.3",
+             "--T", "2"),
+            ("converge", "--family", "effective_low", "--x", "0.5"),
+            ("sweep", "--family", "lmg", "--N", "20", "--grid", "0.0:0.5:3"),
+        ],
+    )
+    def test_template_as_config_changes_nothing(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(emit_config_template())
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, "--config", str(cfg), *argv) == plain
+
+    def test_tolerances_last_one_call(self, capsys, tmp_path):
+        modules = (qfi, fock, qfi, spectral)
+        names = ("DEGENERACY_TOL", "TRUNCATION_TOL", "RAMP_GAP_TOL", "MAX_DIM")
+        before = [getattr(m, n) for m, n in zip(modules, names)]
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text(
+            "degeneracy_tol=0.5\ntruncation_tol=0.5\nramp_gap_tol=0.5\nmax_dim=10\n"
+        )
+        assert run_cli(capsys, "--config", str(cfg), "version")[0] == 0
+        assert [getattr(m, n) for m, n in zip(modules, names)] == before
+        code, _, err = run_cli(capsys, "--config", str(cfg), "gap", "--family", "lmg", "--N", "20")
+        assert (code, err.split(":")[0]) == (3, "DimensionGuard")
+        assert [getattr(m, n) for m, n in zip(modules, names)] == before
+        # argparse's exit after the config is read restores them too
+        cfg.write_text(cfg.read_text() + "steps=abc\n")
+        with pytest.raises(SystemExit):
+            main(["--config", str(cfg), "adiabatic", "--family", "lmg", "--x-start", "0.1",
+                  "--T", "2"])
+        assert [getattr(m, n) for m, n in zip(modules, names)] == before
+        assert run_cli(capsys, "gap", "--family", "lmg", "--N", "20")[0] == 0
 
 
 class TestVersion:

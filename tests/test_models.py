@@ -196,6 +196,13 @@ class TestAnalyticHelpers:
         with pytest.raises(CriticalPointGuard):
             frequency_derivative_factor("low", 1.0)
 
+    @pytest.mark.parametrize("sector", ["low", "high"])
+    def test_negative_x_rejected(self, sector):
+        with pytest.raises(ValueError, match="x must be >= 0, got -0.5"):
+            effective_frequency(sector, 1.0, -0.5)
+        with pytest.raises(ValueError, match="x must be >= 0, got -0.5"):
+            characteristic_time(sector, 1.0, -0.5)
+
 
 class TestSpinModels:
     def test_lmg_gap_free(self):

@@ -188,6 +188,18 @@ class TestAdiabaticGenerator:
         with pytest.raises(ValueError):
             RampSpec(0.1, 0.2, 1.0, schedule="constant")
 
+    @pytest.mark.parametrize("family", ["tfim", "tfim_transverse"])
+    def test_varying_chain_ramp_refused(self, family):
+        # index tracking cannot follow the chains' degenerate clusters
+        ramp = RampSpec(0.1, 0.3, 2.0, steps=11)
+        with pytest.raises(ValueError, match="unsupported family for ramps"):
+            qfi_adiabatic_generator(family, ramp, N=4, check_convergence=False)
+
+    def test_even_steps_refused_with_check(self):
+        ramp = RampSpec(0.1, 0.3, 2.0, steps=200)
+        with pytest.raises(ValueError, match="odd step count, got 200"):
+            qfi_adiabatic_generator("effective_low", ramp, n_max=120)
+
 
 class TestNormalizedMetrics:
     def test_zero(self):
