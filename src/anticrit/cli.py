@@ -127,20 +127,21 @@ def _print_result(result: qfi.QfiResult, verbose: bool) -> None:
 
 
 def _cmd_qfi(args) -> int:
+    spec = _model_spec(args)  # x from --g (and --Omega) when given, for every method
     if args.method == "analytic":
-        result = qfi.qfi_analytic_squeezed(_sector(args), args.omega, args.x)
+        result = qfi.qfi_analytic_squeezed(_sector(args), args.omega, spec.x)
     elif args.method == "spectral_sum":
-        inst, dec = models.diagonalize_converged(_model_spec(args))
+        inst, dec = models.diagonalize_converged(spec)
         result = qfi.qfi_spectral_sum(inst, dec)
     elif args.method == "state_fd":
-        result = qfi.qfi_state_fd(_model_spec(args), d_omega=args.d_omega)
+        result = qfi.qfi_state_fd(spec, d_omega=args.d_omega)
     elif args.method == "phase_imprint":
-        xi = fock.squeezing_parameter(_sector(args), args.x).xi
+        xi = fock.squeezing_parameter(_sector(args), spec.x).xi
         state = fock.squeeze_vacuum_auto(xi)
         n_op = fock.number_operator(fock.FockSpace(state.dim - 1))
         result = qfi.qfi_phase_imprint(state, n_op, args.t)
     elif args.method == "oscillator_evolution":
-        result = qfi.qfi_oscillator_evolution(args.var_c, args.t, _sector(args), args.omega, args.x)
+        result = qfi.qfi_oscillator_evolution(args.var_c, args.t, _sector(args), args.omega, spec.x)
     else:
         raise ValueError(f"unknown method {args.method!r}")
     _print_result(result, args.verbose)

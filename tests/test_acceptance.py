@@ -30,12 +30,16 @@ HIGH_GRID = (0.5, 1.0, 4.0, 16.0)
 
 @contextmanager
 def verdict(capsys, num, title):
+    """Print the PASS/FAIL line, followed by any notes the test appended to the yielded list."""
+    notes = []
+
     def emit(status):
+        detail = "".join(f"; {note}" for note in notes)
         with capsys.disabled():
-            print(f"acceptance {num:2d} ({title}): {status}", flush=True)
+            print(f"acceptance {num:2d} ({title}): {status}{detail}", flush=True)
 
     try:
-        yield
+        yield notes
     except BaseException:
         emit("FAIL")
         raise
@@ -307,27 +311,32 @@ def _eigensolver_bounds(family, meta, row):
     return bounds
 
 
-def golden_mismatch(family, new_text, golden_text, meta):
-    """None if a sweep CSV matches its golden under the contract above, else
-    a description of the worst violation (family, row, column, values, bound)."""
+def golden_margins(family, new_text, golden_text, meta):
+    """Compare a sweep CSV with its golden under the contract above.
+
+    Returns (problem, worst). problem describes a mismatch of the exact
+    parts (header, row count, exact or emptied cells), else None. worst is
+    (|new - golden|/bound, row, column, detail) for the bounded cell with the
+    largest ratio, or None when no cell is bounded or a problem was found.
+    """
     new_rows = list(csv.reader(new_text.splitlines()))
     golden_rows = list(csv.reader(golden_text.splitlines()))
     if new_rows[0] != golden_rows[0]:
-        return f"{family}: header {new_rows[0]} != {golden_rows[0]}"
+        return f"{family}: header {new_rows[0]} != {golden_rows[0]}", None
     if len(new_rows) != len(golden_rows):
-        return f"{family}: {len(new_rows) - 1} rows, golden has {len(golden_rows) - 1}"
+        return f"{family}: {len(new_rows) - 1} rows, golden has {len(golden_rows) - 1}", None
     header = golden_rows[0]
-    violations = []
+    worst = None
     for index, (new_cells, golden_cells) in enumerate(zip(new_rows[1:], golden_rows[1:])):
-        where = f"{family} row {index} column"
         if len(new_cells) != len(header):
-            return f"{family} row {index}: {len(new_cells)} cells for {len(header)} columns"
+            return f"{family} row {index}: {len(new_cells)} cells for {len(header)} columns", None
         new, golden = dict(zip(header, new_cells)), dict(zip(header, golden_cells))
         bounds = None
         for col in header:
             if col in EXACT_COLUMNS or new[col] == "" or golden[col] == "":
                 if new[col] != golden[col]:
-                    return f"{where} {col}: {new[col]!r} != golden {golden[col]!r}"
+                    where = f"{family} row {index} column {col}"
+                    return f"{where}: {new[col]!r} != golden {golden[col]!r}", None
                 continue
             x, y = float(new[col]), float(golden[col])
             if col in LIBM_COLUMNS:
@@ -337,20 +346,32 @@ def golden_mismatch(family, new_text, golden_text, meta):
                     bounds = _eigensolver_bounds(family, meta, golden)
                 bound = bounds[col]  # a new column needs a documented bound
             diff = abs(x - y)
-            if diff > bound:
-                violations.append(
-                    (
-                        diff / bound if bound else math.inf,
-                        f"{where} {col}: {x!r} vs golden {y!r}, "
-                        f"|diff| {diff:.3e} > bound {bound:.3e}",
-                    )
-                )
-    return max(violations)[1] if violations else None
+            ratio = diff / bound if bound else (0.0 if diff == 0 else math.inf)
+            if math.isnan(ratio):  # a NaN cell matches no golden value
+                ratio = math.inf
+            if worst is None or ratio > worst[0]:
+                detail = f"{x!r} vs golden {y!r}, |diff| {diff:.3e}, bound {bound:.3e}"
+                worst = (ratio, index, col, detail)
+    return None, worst
+
+
+def golden_mismatch(family, new_text, golden_text, meta):
+    """None if a sweep CSV matches its golden under the contract above, else
+    a description of the worst violation (family, row, column, values, bound)."""
+    return margins_mismatch(family, *golden_margins(family, new_text, golden_text, meta))
+
+
+def margins_mismatch(family, problem, worst):
+    """golden_mismatch's verdict from golden_margins' result."""
+    if problem is None and worst is not None and worst[0] > 1.0:
+        ratio, index, col, detail = worst
+        problem = f"{family} row {index} column {col}: {detail}, ratio {ratio:.3g} > 1"
+    return problem
 
 
 @pytest.mark.parametrize("family", ["effective", "lmg", "tfim", "tfim_transverse"])
 def test_10_reproducibility(family, tmp_path, capsys):
-    with verdict(capsys, 10, f"default {family} sweep reproducible vs golden"):
+    with verdict(capsys, 10, f"default {family} sweep reproducible vs golden") as notes:
         out = tmp_path / f"{family}.csv"
         t0 = time.perf_counter()
         run_and_write(SweepConfig(family=family, out=out))
@@ -362,7 +383,13 @@ def test_10_reproducibility(family, tmp_path, capsys):
             == golden.with_suffix(".meta.json").read_bytes()
         )
         meta = json.loads(golden.with_suffix(".meta.json").read_text())
-        problem = golden_mismatch(family, out.read_text(), golden.read_text(), meta)
+        new_text, golden_text = out.read_text(), golden.read_text()
+        problem, worst = golden_margins(family, new_text, golden_text, meta)
+        if worst is not None:
+            notes.append(
+                f"worst |new - golden|/bound = {worst[0]:.4g} at row {worst[1]} column {worst[2]}"
+            )
+        problem = margins_mismatch(family, problem, worst)
         assert problem is None, problem
 
 
@@ -396,6 +423,9 @@ def test_10_golden_comparator(capsys):
                 emptied = [list(r) for r in cells]
                 emptied[len(cells) // 2][j] = ""
                 assert rejected(emptied), f"{family} {col}: emptied cell accepted"
+                if col not in ("sector", "status"):
+                    emptied[len(cells) // 2][j] = "nan"
+                    assert rejected(emptied), f"{family} {col}: NaN cell accepted"
             relabelled = [list(r) for r in cells]
             relabelled[0][-1] = "DegeneracyGuard"
             assert header[-1] == "status" and rejected(relabelled), family

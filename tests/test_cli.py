@@ -66,6 +66,17 @@ class TestQfiCommand:
         assert code == 0
         assert float(out.splitlines()[0]) == pytest.approx(6.25)
 
+    @pytest.mark.parametrize("method", ["analytic", "phase_imprint", "oscillator_evolution"])
+    def test_closed_forms_read_g(self, capsys, method):
+        # g = 0.5 at the default Omega = 1000 omega is x = g^2/(omega Omega) = 2.5e-4
+        outputs = [
+            run_cli(capsys, "qfi", "--family", "effective_low", *point, "--method", method)
+            for point in (("--g", "0.5"), ("--x", "2.5e-4"))
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+        assert float(outputs[0][1]) > 0.0
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["qfi", "--family", "effective_low", "--x", "0.25", "--bogus"])

@@ -1,4 +1,7 @@
+import json
+import logging
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +18,7 @@ from anticrit.errors import (
 )
 from anticrit.fock import FockSpace, number_operator, squeeze_vacuum
 from anticrit.models import ModelSpec, build
+from anticrit.qfi import qfi_spectral_sum
 from anticrit.spectral import (
     HermitianOperator,
     QuantumState,
@@ -24,6 +28,7 @@ from anticrit.spectral import (
     overlap,
     variance,
 )
+from test_acceptance import _eigensolver_bounds  # the golden contract's error bounds
 
 XI_075 = -0.25 * math.log(0.25)  # squeezing at x = 0.75
 
@@ -55,13 +60,21 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("row,col", [(3, 190), (190, 3), (150, 149)])
     def test_non_hermitian_rejected_in_any_panel(self, row, col):
-        # 200 rows span several panels of the check; one bad entry in any fails it
+        # 200 rows span two tiles of the check a side: (3, 190) and (190, 3) sit
+        # in the off-diagonal tiles, (150, 149) in a diagonal one; one bad entry fails it
         m = random_hermitian(200, 4).entries.copy()
         m[row, col] += 1e-9
         with pytest.raises(HermiticityViolation, match="Hermiticity deviation"):
             HermitianOperator(m)
         m[row, col] -= 1e-9 - 1e-14  # within the 1e-12 relative tolerance
         HermitianOperator(m)
+
+    def test_hermiticity_scale_is_max_entry(self):
+        m = random_hermitian(300, 7).entries.copy()
+        m[270, 5] = m[5, 270] = 40.0  # largest entry, in an off-diagonal tile
+        m[270, 5] += 1e-9
+        dev, scale = spectral._hermiticity_deviation(m)
+        assert (dev, scale) == (np.abs(m - m.conj().T).max(), np.abs(m).max())
 
     def test_caller_array_stays_writable(self):
         m = np.eye(2)
@@ -257,21 +270,104 @@ class TestParityTridiagonalRoute:
         assert np.array_equal(dec.eigenvalues, np.sort(np.diag(op.entries)))
 
     @pytest.mark.parametrize(
-        "make",
+        "make,routes",
         [
-            stray_offset_one,
-            lambda: HermitianOperator(parity_banded(12, 3, 0.0).astype(complex)),
-            lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H,
+            (stray_offset_one, (1, 0)),
+            # a complex banded matrix is not tridiagonal-solved, but its even
+            # and odd indices still form two blocks; so do rabi_full's two
+            # parities of excitation number
+            (lambda: HermitianOperator(parity_banded(12, 3, 0.0).astype(complex)), (2, 0)),
+            (lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H, (2, 0)),
+            (lambda: random_hermitian(12, 8), (1, 0)),
         ],
-        ids=["stray_offset_one", "complex", "rabi_full"],
+        ids=["stray_offset_one", "complex", "rabi_full", "connected_complex"],
     )
-    def test_other_matrices_stay_dense(self, make):
+    def test_other_matrices_stay_dense(self, make, routes):
         op = make()
-        dec, routes = solve_counting_routes(op)
-        assert routes == (1, 0)
+        dec, taken = solve_counting_routes(op)
+        assert taken == routes
         tol = assert_valid_decomposition(op, dec)
         dense = sla.eigh(op.entries, eigvals_only=True)
         assert np.abs(dec.eigenvalues - dense).max() <= tol
+
+
+def block_diagonal(sizes, singles, seed, complex_, repeat):
+    """Random Hermitian matrix that is block-diagonal under a random permutation.
+
+    Each block of `sizes` is dense, so connected; `singles` indices couple to
+    nothing. With `repeat`, the last block copies the first, so the two share
+    every eigenvalue.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in sizes:
+        b = rng.normal(size=(size, size))
+        if complex_:
+            b = b + 1j * rng.normal(size=(size, size))
+        blocks.append((b + b.conj().T) / 2)
+    if repeat:
+        blocks[-1] = blocks[0]
+    blocks += [np.array([[value]]) for value in rng.normal(size=singles)]
+    m = sla.block_diag(*blocks)
+    perm = rng.permutation(m.shape[0])
+    return HermitianOperator(m[np.ix_(perm, perm)])
+
+
+def golden_bounds(family, N, g, gap, q):
+    """The golden contract's bounds on the cells of one chain row with these values."""
+    meta = json.loads((Path(__file__).parent / "golden" / f"{family}.meta.json").read_text())
+    row = {"g_over_gc": repr(g), "gap01": repr(gap), "qfi_spectral": repr(q)}
+    return _eigensolver_bounds(family, {**meta, "N": N}, row)
+
+
+class TestBlockRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(3, 12), min_size=2, max_size=4),
+        singles=st.integers(0, 3),
+        seed=st.integers(0, 10**6),
+        complex_=st.booleans(),
+        repeat=st.booleans(),
+    )
+    def test_matches_dense(self, sizes, singles, seed, complex_, repeat):
+        # blocks of three or more indices cannot all sit on diagonals 0 and +/-2
+        op = block_diagonal(sizes, singles, seed, complex_, repeat)
+        dec, routes = solve_counting_routes(op)
+        assert routes == (len(sizes), 0)  # one dense call per block, none for the singles
+        tol = assert_valid_decomposition(op, dec)
+        assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(op.entries)).max() <= tol
+
+    def test_all_singles(self):
+        op = HermitianOperator(np.diag([2.0, -1.0, 2.0, 0.5]).astype(complex))
+        dec, routes = solve_counting_routes(op)
+        assert routes == (0, 0)
+        assert_valid_decomposition(op, dec)
+        assert np.array_equal(dec.eigenvalues, [-1.0, 0.5, 2.0, 2.0])
+
+    @pytest.mark.parametrize("family", ["tfim", "tfim_transverse"])
+    @pytest.mark.parametrize(
+        "N,g",
+        [(N, g) for N in (4, 5, 6, 8) for g in (-2.9, -1.0, -0.5, 0.5, 1.0, 2.9)]
+        + [(10, -1.0), (10, 0.5)],
+    )
+    def test_chains_match_single_dense_call(self, family, N, g):
+        inst = build(ModelSpec(family=family, omega=1.0, g=g, N=N))
+        dec, routes = solve_counting_routes(inst.H)
+        assert routes == (2, 0)  # the two parities of prod sigma_z
+        vals, vecs = sla.eigh(inst.H.entries, driver="evd")
+        dense = spectral.SpectralDecomposition(
+            vals, spectral._fix_phases(spectral._orthonormalize_clusters(vals, vecs))
+        )
+        gap, q = energy_gap(dense), qfi_spectral_sum(inst, dense).value
+        bounds = golden_bounds(family, N, g, gap, q)
+        assert abs(energy_gap(dec) - gap) <= bounds["gap01"]
+        assert abs(qfi_spectral_sum(inst, dec).value - q) <= bounds["qfi_spectral"]
+
+    def test_debug_line_names_route_and_blocks(self, caplog):
+        op = build(ModelSpec(family="tfim", omega=1.0, g=0.5, N=4)).H
+        with caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+            eigendecompose(op)
+        assert "route=blocks blocks=8+8 " in caplog.text
 
 
 class TestEnergyGap:
