@@ -137,7 +137,7 @@ def _cmd_qfi(args) -> int:
         result = qfi.qfi_state_fd(spec, d_omega=args.d_omega)
     elif args.method == "phase_imprint":
         xi = fock.squeezing_parameter(_sector(args), spec.x).xi
-        state = fock.squeeze_vacuum_auto(xi)
+        state = fock.squeeze_vacuum_auto(xi, spec.n_max)  # escalates from --n-max
         n_op = fock.number_operator(fock.FockSpace(state.dim - 1))
         result = qfi.qfi_phase_imprint(state, n_op, args.t)
     elif args.method == "oscillator_evolution":

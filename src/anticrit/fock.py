@@ -61,12 +61,6 @@ def number_operator(space: FockSpace) -> HermitianOperator:
     return HermitianOperator(np.diag(np.arange(space.dim, dtype=float)))
 
 
-def quadrature(space: FockSpace) -> HermitianOperator:
-    """a + adag."""
-    a, adag = annihilation(space)
-    return HermitianOperator(a + adag)
-
-
 @dataclass(frozen=True)
 class SqueezingParameters:
     """Squeezing strength for one sector at reduced coupling x = g^2/g_c^2."""

@@ -179,13 +179,18 @@ def build_effective(spec: ModelSpec) -> ModelInstance:
     return ModelInstance(HermitianOperator(H), nop, spec, space.basis_label)
 
 
+@lru_cache(maxsize=4)
+def _lmg_terms(N: int) -> tuple[HermitianOperator, np.ndarray]:
+    """(S_z = d_omega H, the band of S_x^2), from the Dicke ladder; <m+1|S_x|m> = raising / 2."""
+    m, raising = spin.dicke_ladder(spin.DickeBasis(N))
+    return HermitianOperator(np.diag(m)), _tridiagonal_square(raising / 2.0)
+
+
 def build_lmg(spec: ModelSpec) -> ModelInstance:
     """H = omega S_z - (g/N) S_x^2 in the symmetric subspace (g_c = omega)."""
-    basis = spin.DickeBasis(spec.N)
-    sx, _, sz = spin.collective_spin_ops(basis)
-    sx2 = _tridiagonal_square(np.diagonal(sx.entries, 1))
+    sz, sx2 = _lmg_terms(spec.N)
     H = spec.omega * sz.entries - (spec.g / spec.N) * sx2
-    return ModelInstance(HermitianOperator(H), sz, spec, basis.basis_label)
+    return ModelInstance(HermitianOperator(H), sz, spec, spin.DickeBasis(spec.N).basis_label)
 
 
 @lru_cache(maxsize=8)

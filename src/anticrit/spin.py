@@ -1,5 +1,5 @@
-"""Collective spin operators (Dicke subspace), spin-chain site Paulis and the
-chain's total spin applied to a state by bit flips.
+"""Collective spin in the Dicke subspace from its ladder band, spin-chain site
+Paulis, and the chain's total spin applied to a state by bit flips.
 
 Chain basis convention: product states are indexed by bit patterns with
 site 1 as the least significant bit; bit i = 1 means spin i up.
@@ -8,7 +8,6 @@ site 1 as the least significant bit; bit i = 1 means spin i up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,21 +65,21 @@ class ChainBasis:
         return f"chain({self.N})"
 
 
-@lru_cache(maxsize=4)
-def collective_spin_ops(
-    basis: DickeBasis,
-) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """(S_x, S_y, S_z) restricted to the symmetric subspace, built once per N."""
+def dicke_ladder(basis: DickeBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(m, raising): S_z's diagonal m = -N/2..N/2 and <m+1|S_+|m> = sqrt(S(S+1) - m(m+1))."""
     S = basis.N / 2.0
     m = np.arange(-S, S + 1.0)
-    sz = np.diag(m)
-    sp = np.zeros((basis.dim, basis.dim))
-    raising = np.sqrt(S * (S + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    sp[np.arange(1, basis.dim), np.arange(basis.dim - 1)] = raising
-    sm = sp.T
-    sx = (sp + sm) / 2.0
-    sy = (sp - sm) / 2.0j
-    return HermitianOperator(sx), HermitianOperator(sy), HermitianOperator(sz)
+    return m, np.sqrt(S * (S + 1.0) - m[:-1] * (m[:-1] + 1.0))
+
+
+def apply_collective_spin(
+    basis: DickeBasis, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_x psi, S_y psi, S_z psi) in the Dicke basis by ladder shifts; no matrix is built."""
+    m, raising = dicke_ladder(basis)
+    up = np.concatenate(([0.0], raising * psi[:-1]))  # S_+ psi
+    down = np.concatenate((raising * psi[1:], [0.0]))  # S_- psi
+    return 0.5 * (up + down), -0.5j * (up - down), m * psi
 
 
 def site_pauli(basis: ChainBasis, site: int, axis: str) -> HermitianOperator:

@@ -22,7 +22,7 @@ from .errors import NumericalGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
 from .spectral import SpectralDecomposition, expectation, image_variance
-from .spin import ChainBasis, DickeBasis, apply_total_spin, collective_spin_ops
+from .spin import ChainBasis, DickeBasis, apply_collective_spin, apply_total_spin
 
 LOW_SECTOR_EXCLUSION = 1e-3  # half-width of the window dropped around x = 1
 
@@ -185,7 +185,7 @@ def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
         inst, dec = models.diagonalize_converged(spec)
         psi = dec.eigenvector(0).amplitudes
         if config.family == "lmg":
-            images = [op.entries @ psi for op in collective_spin_ops(DickeBasis(config.N))]
+            images = apply_collective_spin(DickeBasis(config.N), psi)
             # <Sz + N/2> as the mean of the non-negative diagonal m + N/2 = 0..N;
             # mean_sz + N/2 would cancel about log10(N / (2 <Sz + N/2>)) digits
             row["mean_sz_plus_half_N"] = float(np.arange(config.N + 1) @ np.abs(psi) ** 2)

@@ -77,6 +77,29 @@ class TestQfiCommand:
         assert outputs[0] == outputs[1]
         assert float(outputs[0][1]) > 0.0
 
+    @pytest.mark.parametrize(
+        "flags, n_max", [((), fock.DEFAULT_N_MAX), (("--n-max", "40"), 40)], ids=["default", "40"]
+    )
+    def test_phase_imprint_reads_n_max(self, capsys, monkeypatch, flags, n_max):
+        # escalation starts from --n-max, and the state keeps that truncation when it fits
+        seen = []
+        original = fock.squeeze_vacuum_auto
+
+        def spy(xi, *args, **kwargs):
+            seen.append(args[0] if args else kwargs.get("n_max"))
+            state = original(xi, *args, **kwargs)
+            seen.append(state.dim)
+            return state
+
+        monkeypatch.setattr(fock, "squeeze_vacuum_auto", spy)
+        code, out, _ = run_cli(
+            capsys, "qfi", "--family", "effective_low", "--x", "0.5",
+            "--method", "phase_imprint", "--t", "1", *flags,
+        )
+        assert code == 0
+        assert seen == [n_max, n_max + 1]
+        assert float(out) == pytest.approx(0.25, rel=1e-12)
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["qfi", "--family", "effective_low", "--x", "0.25", "--bogus"])

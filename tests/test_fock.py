@@ -11,12 +11,11 @@ from anticrit.fock import (
     annihilation,
     mean_excitations,
     number_operator,
-    quadrature,
     squeeze_vacuum,
     squeeze_vacuum_auto,
     squeezing_parameter,
 )
-from anticrit.spectral import expectation, variance
+from anticrit.spectral import HermitianOperator, expectation, variance
 
 
 class TestOperators:
@@ -94,7 +93,8 @@ class TestSqueezeVacuum:
     def test_quadrature_direction(self, xi):
         space = FockSpace(300)
         st = squeeze_vacuum(xi, space)
-        q = quadrature(space)
+        a, adag = annihilation(space)
+        q = HermitianOperator(a + adag)
         q2 = variance(q, st) + expectation(q, st) ** 2
         assert q2 == pytest.approx(math.exp(2 * xi), abs=1e-8)
 

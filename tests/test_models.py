@@ -15,6 +15,7 @@ from anticrit.models import (
     frequency_derivative_factor,
 )
 from anticrit.spectral import expectation
+from test_spin import dicke_matrices  # Dicke S_x, S_y, S_z from an independent ladder
 
 
 def all_test_specs():
@@ -150,7 +151,8 @@ class TestBandedSquares:
     @pytest.mark.parametrize("sector", ["low", "high"])
     def test_effective_matches_dense_square(self, sector):
         spec = ModelSpec.effective(sector, x=0.8, n_max=50)
-        q = fock.quadrature(fock.FockSpace(50)).entries
+        a, adag = fock.annihilation(fock.FockSpace(50))
+        q = a + adag
         sign = -1.0 if sector == "low" else 1.0
         dense = np.diag(np.arange(51.0)) + sign * spec.g**2 / (4.0 * spec.Omega) * (q @ q)
         H = build(spec).H.entries
@@ -158,10 +160,8 @@ class TestBandedSquares:
 
     @pytest.mark.parametrize("N", [2, 3, 40])
     def test_lmg_matches_dense_square(self, N):
-        from anticrit.spin import DickeBasis, collective_spin_ops
-
-        sx, _, sz = collective_spin_ops(DickeBasis(N))
-        dense = sz.entries - (0.7 / N) * (sx.entries @ sx.entries)
+        sx, _, sz = dicke_matrices(N)
+        dense = sz - (0.7 / N) * (sx @ sx)
         H = build(ModelSpec(family="lmg", omega=1.0, g=0.7, N=N)).H.entries
         assert np.abs(H - dense).max() <= 4 * np.finfo(float).eps * np.abs(dense).max()
 
@@ -210,13 +210,12 @@ class TestSpinModels:
         assert dec.eigenvalues[1] - dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_lmg_near_critical(self):
-        from anticrit.spin import DickeBasis, collective_spin_ops
-        from anticrit.spectral import variance
+        from anticrit.spectral import HermitianOperator, variance
 
         _, dec0 = diagonalize_converged(ModelSpec(family="lmg", omega=1.0, g=0.0, N=200))
         inst, dec = diagonalize_converged(ModelSpec(family="lmg", omega=1.0, g=0.9, N=200))
         assert dec.eigenvalues[1] - dec.eigenvalues[0] < 1.0
-        sx, _, _ = collective_spin_ops(DickeBasis(200))
+        sx = HermitianOperator(dicke_matrices(200)[0])
         assert variance(sx, dec.eigenvector(0)) > 200 / 4.0
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])

@@ -29,6 +29,7 @@ from anticrit.spectral import (
     variance,
 )
 from test_acceptance import _eigensolver_bounds  # the golden contract's error bounds
+from test_spin import dicke_matrices  # Dicke S_x, S_y, S_z from an independent ladder
 
 XI_075 = -0.25 * math.log(0.25)  # squeezing at x = 0.75
 
@@ -407,10 +408,10 @@ class TestStateUtilities:
         assert expectation(number_operator(space), vac) == 0.0
 
     def test_sz_on_pole_state(self):
-        from anticrit.spin import DickeBasis, collective_spin_ops
+        from anticrit.spin import DickeBasis
 
         basis = DickeBasis(10)
-        _, _, sz = collective_spin_ops(basis)
+        sz = HermitianOperator(dicke_matrices(10)[2])
         pole = QuantumState(np.eye(basis.dim)[0], basis.basis_label)
         assert expectation(sz, pole) == pytest.approx(-5.0, abs=1e-12)
 
@@ -432,10 +433,10 @@ class TestStateUtilities:
         assert variance(number_operator(space), st_) == pytest.approx(0.28125, abs=1e-8)
 
     def test_variance_sx_pole(self):
-        from anticrit.spin import DickeBasis, collective_spin_ops
+        from anticrit.spin import DickeBasis
 
         basis = DickeBasis(10)
-        sx, _, _ = collective_spin_ops(basis)
+        sx = HermitianOperator(dicke_matrices(10)[0])
         pole = QuantumState(np.eye(basis.dim)[0], basis.basis_label)
         assert variance(sx, pole) == pytest.approx(2.5, abs=1e-10)
 
@@ -443,10 +444,10 @@ class TestStateUtilities:
     def test_variance_small_against_large_mean(self, beta):
         # <Sz^2> ~ 1e4 against Var = 4 beta^2 (1 - beta^2): the difference
         # <A^2> - <A>^2 loses up to 1e-5 relative here
-        from anticrit.spin import DickeBasis, collective_spin_ops
+        from anticrit.spin import DickeBasis
 
         basis = DickeBasis(200)
-        _, _, sz = collective_spin_ops(basis)
+        sz = HermitianOperator(dicke_matrices(200)[2])
         amps = np.zeros(basis.dim)
         amps[0] = math.sqrt(1.0 - beta**2)
         amps[2] = beta
