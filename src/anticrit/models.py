@@ -156,41 +156,53 @@ def build_rabi_full(spec: ModelSpec) -> ModelInstance:
     return ModelInstance(HermitianOperator(H), HermitianOperator(dH), spec, basis)
 
 
-def _tridiagonal_square(off: np.ndarray) -> np.ndarray:
-    """T @ T for the symmetric tridiagonal T with zero diagonal and off-diagonal `off`.
+def _tridiagonal_square(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, offset -2 band) of T @ T for the symmetric tridiagonal T with zero
+    diagonal and off-diagonal `off`.
 
     T^2 couples i only to i and i +/- 2: (T^2)_ii = off_{i-1}^2 + off_i^2
     and (T^2)_{i,i+2} = off_i off_{i+1}.
     """
     sq = np.square(off)
-    out = np.diag(np.append(sq, 0.0) + np.insert(sq, 0, 0.0))
-    i = np.arange(off.size - 1)
-    out[i, i + 2] = out[i + 2, i] = off[:-1] * off[1:]
-    return out
+    return np.append(sq, 0.0) + np.insert(sq, 0, 0.0), off[:-1] * off[1:]
+
+
+@lru_cache(maxsize=8)
+def _quadrature_square(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of (a+adag)^2 on `dim` Fock levels; <n-1|a+adag|n> = sqrt(n)."""
+    return _tridiagonal_square(np.sqrt(np.arange(1.0, dim)))
 
 
 def build_effective(spec: ModelSpec) -> ModelInstance:
     """H = omega n -/+ g^2/(4 Omega) (a+adag)^2, constant terms dropped."""
     space = fock.FockSpace(spec.n_max)
     nop = fock.number_operator(space)
-    q2 = _tridiagonal_square(np.sqrt(np.arange(1.0, space.dim)))  # <n-1|a+adag|n> = sqrt(n)
+    q2_diag, q2_band = _quadrature_square(space.dim)
     sign = -1.0 if spec.sector is Sector.LOW else +1.0
-    H = spec.omega * nop.entries + sign * spec.g**2 / (4.0 * spec.Omega) * q2
-    return ModelInstance(HermitianOperator(H), nop, spec, space.basis_label)
+    c = sign * spec.g**2 / (4.0 * spec.Omega)
+    # 0.0 + c q2_band is omega n + c q2 off the diagonal: +0.0, not -0.0, at g = 0
+    H = HermitianOperator.parity_banded(
+        spec.omega * np.diagonal(nop.entries) + c * q2_diag, 0.0 + c * q2_band
+    )
+    return ModelInstance(H, nop, spec, space.basis_label)
 
 
 @lru_cache(maxsize=4)
-def _lmg_terms(N: int) -> tuple[HermitianOperator, np.ndarray]:
-    """(S_z = d_omega H, the band of S_x^2), from the Dicke ladder; <m+1|S_x|m> = raising / 2."""
+def _lmg_terms(N: int) -> tuple[HermitianOperator, tuple[np.ndarray, np.ndarray]]:
+    """(S_z = d_omega H, the bands of S_x^2), from the Dicke ladder; <m+1|S_x|m> = raising / 2."""
     m, raising = spin.dicke_ladder(spin.DickeBasis(N))
     return HermitianOperator(np.diag(m)), _tridiagonal_square(raising / 2.0)
 
 
 def build_lmg(spec: ModelSpec) -> ModelInstance:
     """H = omega S_z - (g/N) S_x^2 in the symmetric subspace (g_c = omega)."""
-    sz, sx2 = _lmg_terms(spec.N)
-    H = spec.omega * sz.entries - (spec.g / spec.N) * sx2
-    return ModelInstance(HermitianOperator(H), sz, spec, spin.DickeBasis(spec.N).basis_label)
+    sz, (sx2_diag, sx2_band) = _lmg_terms(spec.N)
+    c = spec.g / spec.N
+    # 0.0 - c sx2_band is omega S_z - c S_x^2 off the diagonal, as in build_effective
+    H = HermitianOperator.parity_banded(
+        spec.omega * np.diagonal(sz.entries) - c * sx2_diag, 0.0 - c * sx2_band
+    )
+    return ModelInstance(H, sz, spec, spin.DickeBasis(spec.N).basis_label)
 
 
 @lru_cache(maxsize=8)
@@ -282,18 +294,25 @@ def truncation_weight(instance: ModelInstance, state: QuantumState) -> float:
     return float(np.sum(np.abs(amps[-2:]) ** 2))
 
 
+def enforce_truncation_bound(instance: ModelInstance, ground: QuantumState) -> None:
+    """TruncationGuard when a bosonic ground state populates the top two Fock levels."""
+    if instance.spec.family not in BOSONIC_FAMILIES:
+        return
+    weight = truncation_weight(instance, ground)
+    if weight >= fock.TRUNCATION_TOL:
+        raise TruncationGuard(
+            f"ground state populates top Fock levels at {weight:.3e} "
+            f"(n_max={instance.spec.n_max})"
+        )
+
+
 def ground_decomposition(
     instance: ModelInstance, check_truncation: bool = True
 ) -> SpectralDecomposition:
     """Diagonalize and, for bosonic families, enforce the truncation bound."""
     dec = eigendecompose(instance.H, basis=instance.basis)
-    if check_truncation and instance.spec.family in BOSONIC_FAMILIES:
-        weight = truncation_weight(instance, dec.eigenvector(0))
-        if weight >= fock.TRUNCATION_TOL:
-            raise TruncationGuard(
-                f"ground state populates top Fock levels at {weight:.3e} "
-                f"(n_max={instance.spec.n_max})"
-            )
+    if check_truncation:
+        enforce_truncation_bound(instance, dec.eigenvector(0))
     return dec
 
 

@@ -29,6 +29,7 @@ from .spectral import (
     QuantumState,
     SpectralDecomposition,
     energy_gap,
+    ground_state,
     variance,
 )
 
@@ -89,9 +90,8 @@ def qfi_analytic_squeezed(sector: Sector | str, omega: float, x: float) -> QfiRe
     )
 
 
-def _nondegenerate_gap(dec: SpectralDecomposition) -> float:
-    """E_1 - E_0, refused by DegeneracyGuard when at most DEGENERACY_TOL."""
-    gap = energy_gap(dec)
+def _nondegenerate_gap(gap: float) -> float:
+    """The gap E_1 - E_0, refused by DegeneracyGuard when at most DEGENERACY_TOL."""
     if gap <= DEGENERACY_TOL:
         raise DegeneracyGuard(
             f"ground state quasi-degenerate: gap {gap:.3e} <= {DEGENERACY_TOL:.0e}", gap=gap
@@ -105,9 +105,10 @@ def qfi_spectral_sum(
     """4 sum_{n!=0} |<psi_n|dH|psi_0>|^2 / (E_n - E_0)^2."""
     if dec is None:
         dec = models.ground_decomposition(model)
-    gap = _nondegenerate_gap(dec)
+    gap = _nondegenerate_gap(energy_gap(dec))
     v0 = dec.vectors[:, 0]
-    matrix_elems = dec.vectors.conj().T @ (model.dH_domega.entries @ v0)
+    # every family's d_omega H is diagonal
+    matrix_elems = dec.vectors.conj().T @ (np.diagonal(model.dH_domega.entries) * v0)
     dE = dec.eigenvalues - dec.eigenvalues[0]
     terms = 4.0 * np.abs(matrix_elems[1:]) ** 2 / dE[1:] ** 2
     value = float(np.sum(terms))
@@ -122,8 +123,12 @@ def qfi_spectral_sum(
 
 
 def _aligned_ground(dec: SpectralDecomposition, reference: np.ndarray) -> np.ndarray:
-    """Rotate the ground state's global phase so <reference|psi> is real positive."""
-    psi = dec.vectors[:, 0]
+    """The ground state of `dec`, aligned with `reference` by :func:`_aligned`."""
+    return _aligned(dec.vectors[:, 0], reference)
+
+
+def _aligned(psi: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Rotate psi's global phase so <reference|psi> is real positive."""
     ov = np.vdot(reference, psi)
     if abs(ov) == 0.0:
         return psi
@@ -159,11 +164,13 @@ def qfi_state_fd(
         spec = spec.with_n_max(inst.spec.n_max)  # same space at all three points
 
     def ground_at(omega: float, reference: np.ndarray) -> np.ndarray:
-        d = models.ground_decomposition(models.build(spec.with_omega(omega)))
-        _nondegenerate_gap(d)
-        return _aligned_ground(d, reference)
+        shifted = models.build(spec.with_omega(omega))
+        e0, e1, psi = ground_state(shifted.H)  # E_0, E_1 and psi_0 only
+        models.enforce_truncation_bound(shifted, QuantumState(psi, shifted.basis))
+        _nondegenerate_gap(e1 - e0)
+        return _aligned(psi, reference)
 
-    gap0 = _nondegenerate_gap(dec)
+    gap0 = _nondegenerate_gap(energy_gap(dec))
     psi0 = dec.vectors[:, 0]
     value = _fd_value(
         psi0,
@@ -253,7 +260,7 @@ def qfi_adiabatic_generator(
             continue
         spec = ModelSpec.at(family, float(x), omega, n_max=n_max, N=N)
         inst, dec = models.diagonalize_converged(spec)
-        if np.iscomplexobj(inst.H.entries):
+        if np.issubdtype(inst.H.dtype, np.complexfloating):
             raise ValueError("ramp requires a real-symmetric Hamiltonian family")
         vecs = dec.vectors
         if prev_vecs is not None:
@@ -275,7 +282,7 @@ def qfi_adiabatic_generator(
         if gap <= RAMP_GAP_TOL:
             raise GapGuard(f"instantaneous gap {gap:.3e} <= {RAMP_GAP_TOL:.0e} along ramp")
         energies[k] = dec.eigenvalues
-        elems[k] = vecs.T @ (inst.dH_domega.entries @ vecs[:, 0])
+        elems[k] = vecs.T @ (np.diagonal(inst.dH_domega.entries) * vecs[:, 0])
 
     value = _generator_value(ts, energies, elems)
     diagnostics: dict[str, Any] = {

@@ -2,7 +2,8 @@
 
 Everything downstream (model building, QFI estimators, sweeps) goes
 through :func:`eigendecompose`, which fixes eigenvector phases so that
-repeated runs on the same machine produce bit-identical output. A real
+repeated runs on the same machine produce bit-identical output;
+:func:`ground_state` solves for E_0, E_1 and the ground state only. A real
 matrix that couples each index only to itself and its neighbours at
 distance 2 is solved as two tridiagonal blocks (even and odd indices);
 any other matrix is split into the connected blocks of its nonzero
@@ -58,14 +59,18 @@ def _hermiticity_deviation(m: np.ndarray) -> tuple[float, float]:
     return dev, scale
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense Hermitian matrix (energies in units of omega unless stated)."""
+    """Immutable Hermitian matrix (energies in units of omega unless stated).
 
-    entries: np.ndarray
+    ``HermitianOperator(m)`` freezes a dense m once it passes the
+    Hermiticity check. ``HermitianOperator.parity_banded(diag, lower)``
+    stores only the two bands of a real symmetric matrix whose nonzeros lie
+    on diagonals 0 and +/-2, which is symmetric by construction; its
+    ``entries`` are built from them on first use, once.
+    """
 
-    def __post_init__(self):
-        m = _freeze(self.entries)
+    def __init__(self, entries):
+        m = _freeze(entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionGuard(f"expected a square matrix, got shape {m.shape}")
         dev, scale = _hermiticity_deviation(m)
@@ -73,11 +78,46 @@ class HermitianOperator:
             raise HermiticityViolation(
                 f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_RTOL:.0e} x {scale:.3e}"
             )
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "_entries", m)
+        object.__setattr__(self, "bands", None)
+
+    @classmethod
+    def parity_banded(cls, diag, lower) -> HermitianOperator:
+        """The real symmetric matrix with diagonal `diag` and `lower` on diagonals +/-2."""
+        diag, lower = _freeze(diag), _freeze(lower)
+        if np.iscomplexobj(diag) or np.iscomplexobj(lower):
+            raise TypeError("a parity-banded operator takes real bands")
+        if diag.ndim != 1 or diag.size < 3 or lower.shape != (diag.size - 2,):
+            raise DimensionGuard(
+                f"bands of shapes {diag.shape} and {lower.shape} are not (n,) and (n - 2,), n >= 3"
+            )
+        op = cls.__new__(cls)
+        object.__setattr__(op, "_entries", None)
+        object.__setattr__(op, "bands", (diag, lower))
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HermitianOperator is immutable; cannot set {name!r}")
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense read-only matrix."""
+        if self._entries is None:
+            diag, lower = self.bands
+            m = np.diag(diag)
+            i = np.arange(lower.size)
+            m[i + 2, i] = m[i, i + 2] = lower
+            m.setflags(write=False)
+            object.__setattr__(self, "_entries", m)
+        return self._entries
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.bands[0].size if self.bands is not None else self._entries.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.bands[0].dtype if self.bands is not None else self._entries.dtype
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,36 +275,88 @@ def _merge_blocks(dim: int, dtype, blocks: list[Block]) -> tuple[np.ndarray, np.
     return vals[order], vecs
 
 
+def _band_product(bands: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """H v for the parity-banded H with these (diagonal, offset -2) bands."""
+    diag, lower = bands
+    out = diag * v
+    out[2:] += lower * v[:-2]
+    out[:-2] += lower * v[2:]
+    return out
+
+
 def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecomposition:
     """Full Hermitian solve with deterministic phase fixing.
 
     A real H whose nonzeros lie only on diagonals 0 and +/-2 is solved as
-    its even and odd tridiagonal blocks. Any other H is split into the
-    connected blocks of its nonzero pattern: one dense call for a connected
-    H, else one per block of more than one index.
+    its even and odd tridiagonal blocks; a parity-banded operator gives its
+    bands, with no dense matrix. Any other H is split into the connected
+    blocks of its nonzero pattern: one dense call for a connected H, else
+    one per block of more than one index.
     """
     if H.dim > MAX_DIM:
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
-    m = H.entries
-    bands = _parity_bands(m)
+    bands = H.bands if H.bands is not None else _parity_bands(H.entries)
     if bands is not None:
         route, blocks = "parity-tridiagonal", _parity_blocks(*bands)
     else:
-        components = _connected_blocks(m)
+        components = _connected_blocks(H.entries)
         route = "dense" if len(components) == 1 else "blocks"
-        blocks = _pattern_blocks(m, components)
-    vals, vecs = _merge_blocks(H.dim, m.dtype, blocks)
+        blocks = _pattern_blocks(H.entries, components)
+    vals, vecs = _merge_blocks(H.dim, H.dtype, blocks)
     if logger.isEnabledFor(logging.DEBUG):
-        residual = np.linalg.norm(m @ vecs[:, 0] - vals[0] * vecs[:, 0])
+        v0 = vecs[:, 0]
+        image = _band_product(bands, v0) if bands is not None else H.entries @ v0
         sizes = "+".join(
             str(values.size) if vectors is not None else f"{values.size}x1"
             for _, values, vectors in blocks
         )
         logger.debug(
             "eigendecompose dim=%d route=%s blocks=%s ground residual=%.3e",
-            H.dim, route, sizes, residual,
+            H.dim, route, sizes, np.linalg.norm(image - vals[0] * v0),
         )
     return SpectralDecomposition(vals, vecs, basis)
+
+
+def _lowest(bands: tuple[np.ndarray, np.ndarray], parity: int, count: int, vectors: bool):
+    """The lowest `count` eigenvalues (fewer if the block is smaller) of one parity block,
+    with their vectors if asked for."""
+    diag, lower = bands[0][parity::2], bands[1][parity::2]
+    top = min(count, diag.size) - 1
+    return sla.eigh_tridiagonal(
+        diag, lower, eigvals_only=not vectors, select="i", select_range=(0, top)
+    )
+
+
+def ground_state(H: HermitianOperator) -> tuple[float, float, np.ndarray]:
+    """(E_0, E_1, ground state), the state in the gauge of :func:`eigendecompose`.
+
+    A parity-banded H needs no dense matrix: one parity block gives its two
+    lowest levels and the ground vector, the other only its lowest level.
+    The block tried first holds H's smallest diagonal entry; should the
+    other block's level lie lower, that block gives the vector instead. Any
+    other H takes the full :func:`eigendecompose`.
+    """
+    if H.dim > MAX_DIM:
+        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
+    if H.bands is None:
+        dec = eigendecompose(H)
+        energy_gap(dec)  # DimensionGuard below two levels
+        (e0, e1), psi = dec.eigenvalues[:2], dec.vectors[:, 0]
+        route = "full"
+    else:
+        parity = int(np.argmin(H.bands[0])) % 2
+        vals, vecs = _lowest(H.bands, parity, 2, vectors=True)
+        other = _lowest(H.bands, 1 - parity, 1, vectors=False)
+        if other[0] < vals[0]:
+            parity, other = 1 - parity, vals[:1]
+            vals, vecs = _lowest(H.bands, parity, 2, vectors=True)
+        e0, e1 = vals[0], np.sort(np.concatenate((vals, other)))[1]
+        psi = np.zeros(H.dim)
+        psi[parity::2] = _fix_phases(vecs[:, :1])[:, 0]
+        route = f"parity-tridiagonal blocks={(H.dim + 1) // 2}+{H.dim // 2} ground={parity}"
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("ground_state dim=%d route=%s gap=%.3e", H.dim, route, e1 - e0)
+    return float(e0), float(e1), psi
 
 
 def energy_gap(spec: SpectralDecomposition) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anticrit import fock, models
+from anticrit import fock, models, sweep
 from anticrit.errors import CriticalPointGuard
 from anticrit.fock import Sector
 from anticrit.models import (
@@ -38,6 +38,12 @@ class TestDerivativeConvention:
         minus = build(spec.with_omega(spec.omega - h)).H.entries
         fd = (plus - minus) / (2 * h)
         assert np.abs(fd - inst.dH_domega.entries).max() <= 1e-8
+
+    @pytest.mark.parametrize("spec", all_test_specs(), ids=lambda s: s.family)
+    def test_dh_is_diagonal(self, spec):
+        # the estimators apply d_omega H as its diagonal
+        dH = build(spec).dH_domega.entries
+        assert np.array_equal(dH, np.diag(np.diagonal(dH)))
 
 
 class TestConstructor:
@@ -164,6 +170,48 @@ class TestBandedSquares:
         dense = sz - (0.7 / N) * (sx @ sx)
         H = build(ModelSpec(family="lmg", omega=1.0, g=0.7, N=N)).H.entries
         assert np.abs(H - dense).max() <= 4 * np.finfo(float).eps * np.abs(dense).max()
+
+
+def dense_square(off):
+    """T @ T as a dense matrix, T symmetric tridiagonal with zero diagonal and off-diagonal off."""
+    sq = np.square(off)
+    out = np.diag(np.append(sq, 0.0) + np.insert(sq, 0, 0.0))
+    i = np.arange(off.size - 1)
+    out[i, i + 2] = out[i + 2, i] = off[:-1] * off[1:]
+    return out
+
+
+def effective_default_specs():
+    """Both sectors at x = 0 and at every point of the default effective sweep."""
+    specs = [ModelSpec.effective(sector, x=0.0) for sector in ("low", "high")]
+    for x_signed in sweep.SweepConfig(family="effective").grid:
+        specs.append(ModelSpec.effective("low" if x_signed >= 0 else "high", x=abs(x_signed)))
+    return specs
+
+
+class TestBandedHamiltonians:
+    """The banded effective and LMG Hamiltonians equal the dense sum of dense terms, bit for bit."""
+
+    def test_effective(self):
+        for spec in effective_default_specs():
+            nop = np.diag(np.arange(spec.n_max + 1.0))
+            q2 = dense_square(np.sqrt(np.arange(1.0, spec.n_max + 1)))
+            sign = -1.0 if spec.sector is Sector.LOW else +1.0
+            dense = spec.omega * nop + sign * spec.g**2 / (4.0 * spec.Omega) * q2
+            H = build(spec).H
+            assert H.bands is not None
+            assert H.entries.tobytes() == dense.tobytes(), spec  # -0.0 and +0.0 told apart
+
+    @pytest.mark.parametrize("N", [200, 2, 3, 40])
+    def test_lmg(self, N):
+        m = np.arange(-N / 2.0, N / 2.0 + 1.0)
+        raising = np.sqrt(N / 2.0 * (N / 2.0 + 1.0) - m[:-1] * (m[:-1] + 1.0))
+        sx2 = dense_square(raising / 2.0)
+        for g in (0.0,) + sweep.SweepConfig(family="lmg").grid:
+            dense = 1.0 * np.diag(m) - (g / N) * sx2
+            H = build(ModelSpec(family="lmg", omega=1.0, g=g, N=N)).H
+            assert H.bands is not None
+            assert H.entries.tobytes() == dense.tobytes(), g
 
 
 class TestAnalyticHelpers:

@@ -4,8 +4,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from anticrit import models, qfi
-from anticrit.errors import CriticalPointGuard, DegeneracyGuard, GapGuard
+from anticrit import models, qfi, spectral
+from anticrit.errors import CriticalPointGuard, DegeneracyGuard, GapGuard, TruncationGuard
 from anticrit.fock import FockSpace, number_operator, squeeze_vacuum
 from anticrit.models import ModelInstance, ModelSpec
 from anticrit.qfi import (
@@ -19,6 +19,7 @@ from anticrit.qfi import (
     qfi_state_fd,
 )
 from anticrit.spectral import HermitianOperator, QuantumState
+from test_spectral import banded_entries_spy  # banded operators whose dense matrix is read
 
 
 class TestAnalytic:
@@ -97,10 +98,22 @@ class TestStateFd:
     )
     def test_centre_reused(self, spec):
         centre = models.diagonalize_converged(spec)
-        with mock.patch.object(models, "eigendecompose", wraps=models.eigendecompose) as solves:
+        with mock.patch.object(qfi, "ground_state", wraps=spectral.ground_state) as grounds, \
+                mock.patch.object(spectral, "eigendecompose", wraps=spectral.eigendecompose) as full, \
+                mock.patch.object(models, "eigendecompose", wraps=models.eigendecompose) as solves:
             value = qfi_state_fd(spec, centre=centre).value
-        assert solves.call_count == 4  # +/- d and +/- d/2 only
+        assert grounds.call_count == 4  # +/- d and +/- d/2 only
+        assert full.call_count == solves.call_count == 0  # ground-only solves there
         assert value == qfi_state_fd(spec).value
+
+    def test_shifted_point_truncation_guarded(self):
+        # the centre fits in 33 levels (weight 2e-11); omega - d lifts x from 0.9
+        # to 0.928, whose ground state puts 4e-10 into the top two levels
+        spec = ModelSpec.effective("low", x=0.9, n_max=32)
+        inst = models.build(spec)
+        centre = inst, models.ground_decomposition(inst)
+        with pytest.raises(TruncationGuard, match="top Fock levels"):
+            qfi_state_fd(spec, d_omega=0.03, check_step=False, centre=centre)
 
     def test_centre_of_another_spec_rejected(self):
         spec = ModelSpec(family="lmg", omega=1.0, g=0.5, N=60)
@@ -183,6 +196,12 @@ class TestAdiabaticGenerator:
         result = qfi_adiabatic_generator("effective_low", ramp, n_max=120)
         assert result.value >= 0
         assert result.diagnostics["min_gap"] > 0
+
+    def test_banded_hamiltonians_stay_banded(self):
+        ramp = RampSpec(0.1, 0.3, 2.0, steps=21, schedule="linear")
+        with banded_entries_spy() as read:
+            qfi_adiabatic_generator("effective_high", ramp, n_max=60, check_convergence=False)
+        assert read == []
 
     def test_constant_requires_equal_endpoints(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -290,6 +291,145 @@ class TestParityTridiagonalRoute:
         tol = assert_valid_decomposition(op, dec)
         dense = sla.eigh(op.entries, eigvals_only=True)
         assert np.abs(dec.eigenvalues - dense).max() <= tol
+
+
+def random_bands(dim, seed, band_zero_fraction):
+    """(diagonal, offset -2 band) of a random parity-banded matrix; a fraction 1 of zeroed
+    band entries leaves it diagonal, as the model Hamiltonians are at g = 0."""
+    rng = np.random.default_rng(seed)
+    diag, band = rng.normal(size=dim), rng.normal(size=dim - 2)
+    band[rng.random(dim - 2) < band_zero_fraction] = 0.0
+    return diag, band
+
+
+@contextmanager
+def banded_entries_spy():
+    """The banded operators whose dense `entries` are read inside the block."""
+    read = []
+    entries = HermitianOperator.entries
+
+    def spy(op):
+        if op.bands is not None:
+            read.append(op)
+        return entries.fget(op)
+
+    with mock.patch.object(HermitianOperator, "entries", property(spy)):
+        yield read
+
+
+class TestParityBandedOperator:
+    def test_entries_built_once_read_only(self):
+        diag, band = random_bands(9, 1, 0.0)
+        op = HermitianOperator.parity_banded(diag, band)
+        m = op.entries
+        assert op.entries is m and not m.flags.writeable
+        assert np.array_equal(m, np.diag(diag) + np.diag(band, 2) + np.diag(band, -2))
+        assert (op.dim, op.dtype) == (9, np.float64)
+
+    def test_bands_copied(self):
+        diag, band = random_bands(5, 2, 0.0)
+        op = HermitianOperator.parity_banded(diag, band)
+        diag[0] = band[0] = 7.0
+        assert op.bands[0][0] != 7.0 and op.bands[1][0] != 7.0
+
+    def test_immutable(self):
+        op = HermitianOperator.parity_banded(*random_bands(5, 3, 0.0))
+        with pytest.raises(AttributeError):
+            op.bands = None
+
+    @pytest.mark.parametrize(
+        "diag,band",
+        [(np.zeros(5), np.zeros(4)), (np.zeros(5), np.zeros(2)), (np.zeros(2), np.zeros(0))],
+        ids=["long_band", "short_band", "dim_2"],
+    )
+    def test_wrong_lengths_rejected(self, diag, band):
+        with pytest.raises(DimensionGuard):
+            HermitianOperator.parity_banded(diag, band)
+
+    def test_complex_rejected(self):
+        with pytest.raises(TypeError):
+            HermitianOperator.parity_banded(np.zeros(5), np.zeros(3, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec.effective("low", x=0.9, n_max=120), ModelSpec(family="lmg", omega=1.0, g=0.9, N=60)],
+        ids=["effective_low", "lmg"],
+    )
+    def test_solves_never_build_the_dense_matrix(self, spec, caplog):
+        op = build(spec).H
+        with banded_entries_spy() as read, caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+            dec = eigendecompose(op)
+            e0, e1, psi = spectral.ground_state(op)
+        assert read == []
+        assert "route=parity-tridiagonal" in caplog.text and "ground residual=" in caplog.text
+        assert (e0, e1) == pytest.approx(tuple(dec.eigenvalues[:2]), abs=1e-12)
+
+
+class TestGroundState:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(3, 60),
+        seed=st.integers(0, 10**6),
+        band_zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_matches_dense(self, dim, seed, band_zero_fraction):
+        op = HermitianOperator.parity_banded(*random_bands(dim, seed, band_zero_fraction))
+        e0, e1, psi = spectral.ground_state(op)
+        m = op.entries
+        tol = 128 * np.finfo(float).eps * max(np.linalg.norm(m, 2), 1e-300)
+        dense = np.linalg.eigvalsh(m)
+        assert abs(e0 - dense[0]) <= tol and abs(e1 - dense[1]) <= tol
+        assert psi.dtype == np.float64 and psi.shape == (dim,)
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        residual = np.linalg.norm(m @ psi - e0 * psi)
+        assert residual <= tol
+        assert psi[np.abs(psi).argmax()] > 0  # the gauge of eigendecompose
+        dec = eigendecompose(op)
+        v0 = dec.vectors[:, 0]
+        separation = (e1 - e0) - 2 * tol
+        if separation > 0:  # Davis-Kahan: each is within residual / separation of the true state
+            bound = (residual + np.linalg.norm(m @ v0 - dec.eigenvalues[0] * v0)) / separation
+            sin_angle = np.linalg.norm(psi - np.dot(v0, psi) * v0)
+            assert sin_angle <= bound + 1e-15
+
+    def test_either_parity_holds_the_ground(self):
+        # the smallest diagonal entry sits in the odd block, the ground state in the even one
+        op = HermitianOperator.parity_banded([0.0, -1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 2.0])
+        e0, e1, psi = spectral.ground_state(op)
+        dec = eigendecompose(op)
+        assert (e0, e1) == pytest.approx(tuple(dec.eigenvalues[:2]), abs=1e-14)
+        assert np.abs(psi - dec.vectors[:, 0]).max() <= 1e-14
+        assert np.all(psi[1::2] == 0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=6)).H,
+            lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H,
+            lambda: HermitianOperator(parity_banded(12, 3, 0.0)),  # banded, but held dense
+        ],
+        ids=["tfim", "rabi_full", "dense_banded"],
+    )
+    def test_other_operators_take_the_full_solve(self, make, caplog):
+        op = make()
+        with caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+            e0, e1, psi = spectral.ground_state(op)
+        dec = eigendecompose(op)
+        assert (e0, e1) == tuple(dec.eigenvalues[:2])
+        assert np.array_equal(psi, dec.vectors[:, 0])
+        assert "route=full" in caplog.text
+
+    def test_debug_line_names_route_blocks_and_gap(self, caplog):
+        op = build(ModelSpec.effective("low", x=0.5, n_max=10)).H
+        with caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+            e0, e1, _ = spectral.ground_state(op)
+        assert f"route=parity-tridiagonal blocks=6+5 ground=0 gap={e1 - e0:.3e}" in caplog.text
+
+    def test_dimension_guard(self, monkeypatch):
+        op = HermitianOperator.parity_banded(*random_bands(4, 0, 0.0))
+        monkeypatch.setattr(spectral, "MAX_DIM", 3)
+        with pytest.raises(DimensionGuard):
+            spectral.ground_state(op)
 
 
 def block_diagonal(sizes, singles, seed, complex_, repeat):

@@ -22,6 +22,7 @@ from anticrit.sweep import (
     sweep_metadata,
     write_csv,
 )
+from test_spectral import banded_entries_spy  # banded operators whose dense matrix is read
 
 
 class TestGrids:
@@ -98,6 +99,14 @@ class TestEffectiveSweep:
         a = run_sweep(config)
         b = run_sweep(config)
         assert a == b
+
+
+@pytest.mark.parametrize("family,grid", [("effective", (-8.0, 0.5)), ("lmg", (0.3, 0.9))])
+def test_rows_never_build_a_dense_hamiltonian(family, grid):
+    with banded_entries_spy() as read:
+        rows = run_sweep(SweepConfig(family=family, grid=grid))
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    assert read == []
 
 
 class TestSpinSweeps:
