@@ -57,8 +57,8 @@ def annihilation(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def number_operator(space: FockSpace) -> HermitianOperator:
-    """n = adag a, built and validated once per truncation."""
-    return HermitianOperator(np.diag(np.arange(space.dim, dtype=float)))
+    """n = adag a, held as its diagonal, once per truncation."""
+    return HermitianOperator.from_diagonal(np.arange(space.dim, dtype=float))
 
 
 @dataclass(frozen=True)

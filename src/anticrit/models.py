@@ -13,6 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any, Callable
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from . import fock, spin
 from .errors import CriticalPointGuard, TruncationGuard
 from .fock import Sector
 from .spectral import (
+    GroundSector,
     HermitianOperator,
     QuantumState,
     SpectralDecomposition,
     eigendecompose,
+    ground_sector,
 )
 
 FAMILIES = (
@@ -151,9 +154,9 @@ def build_rabi_full(spec: ModelSpec) -> ModelInstance:
         + spec.Omega / 2.0 * np.kron(eye_f, sz)
         + spec.g / 2.0 * np.kron(a + adag, sx)
     )
-    dH = np.kron(nop, np.eye(2))
+    dH = HermitianOperator.from_diagonal(np.repeat(np.diagonal(nop), 2))  # n (x) 1
     basis = f"{space.basis_label}*qubit"
-    return ModelInstance(HermitianOperator(H), HermitianOperator(dH), spec, basis)
+    return ModelInstance(HermitianOperator(H), dH, spec, basis)
 
 
 def _tridiagonal_square(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +185,7 @@ def build_effective(spec: ModelSpec) -> ModelInstance:
     c = sign * spec.g**2 / (4.0 * spec.Omega)
     # 0.0 + c q2_band is omega n + c q2 off the diagonal: +0.0, not -0.0, at g = 0
     H = HermitianOperator.parity_banded(
-        spec.omega * np.diagonal(nop.entries) + c * q2_diag, 0.0 + c * q2_band
+        spec.omega * nop.diagonal + c * q2_diag, 0.0 + c * q2_band
     )
     return ModelInstance(H, nop, spec, space.basis_label)
 
@@ -191,7 +194,7 @@ def build_effective(spec: ModelSpec) -> ModelInstance:
 def _lmg_terms(N: int) -> tuple[HermitianOperator, tuple[np.ndarray, np.ndarray]]:
     """(S_z = d_omega H, the bands of S_x^2), from the Dicke ladder; <m+1|S_x|m> = raising / 2."""
     m, raising = spin.dicke_ladder(spin.DickeBasis(N))
-    return HermitianOperator(np.diag(m)), _tridiagonal_square(raising / 2.0)
+    return HermitianOperator.from_diagonal(m), _tridiagonal_square(raising / 2.0)
 
 
 def build_lmg(spec: ModelSpec) -> ModelInstance:
@@ -200,7 +203,7 @@ def build_lmg(spec: ModelSpec) -> ModelInstance:
     c = spec.g / spec.N
     # 0.0 - c sx2_band is omega S_z - c S_x^2 off the diagonal, as in build_effective
     H = HermitianOperator.parity_banded(
-        spec.omega * np.diagonal(sz.entries) - c * sx2_diag, 0.0 - c * sx2_band
+        spec.omega * sz.diagonal - c * sx2_diag, 0.0 - c * sx2_band
     )
     return ModelInstance(H, sz, spec, spin.DickeBasis(spec.N).basis_label)
 
@@ -215,14 +218,14 @@ def _chain_terms(N: int) -> tuple[HermitianOperator, np.ndarray, list[np.ndarray
     bonds = [(i, (i + 1) % N) for i in range(N)]  # periodic boundary
     zz_diag = sum(signs[:, i] * signs[:, j] for i, j in bonds)
     bond_flips = [states ^ ((1 << i) | (1 << j)) for i, j in bonds]
-    return HermitianOperator(np.diag(signs.sum(axis=1))), zz_diag, bond_flips
+    return HermitianOperator.from_diagonal(signs.sum(axis=1)), zz_diag, bond_flips
 
 
 def _chain_hamiltonian(spec: ModelSpec, transverse: bool) -> ModelInstance:
     basis = spin.ChainBasis(spec.N)
     z_sum, zz_diag, bond_flips = _chain_terms(spec.N)
     H = np.zeros((basis.dim, basis.dim))
-    diag = spec.omega * np.diagonal(z_sum.entries)
+    diag = spec.omega * z_sum.diagonal
     np.fill_diagonal(H, diag + spec.g * zz_diag if transverse else diag)
     states = np.arange(basis.dim)
     for flips in bond_flips:
@@ -316,13 +319,34 @@ def ground_decomposition(
     return dec
 
 
-def diagonalize_converged(spec: ModelSpec) -> tuple[ModelInstance, SpectralDecomposition]:
-    """Build and diagonalize, doubling n_max until the truncation bound holds."""
+def ground_block(instance: ModelInstance) -> GroundSector:
+    """:func:`spectral.ground_sector` of H, with the truncation bound enforced."""
+    sector = ground_sector(instance.H, basis=instance.basis)
+    enforce_truncation_bound(instance, sector.state)
+    return sector
 
-    def solve(point: ModelSpec) -> tuple[ModelInstance, SpectralDecomposition]:
+
+def _converged(spec: ModelSpec, solve: Callable[[ModelInstance], Any]) -> tuple[ModelInstance, Any]:
+    """(instance, solve(instance)), doubling a bosonic n_max until the truncation bound holds."""
+
+    def attempt(point: ModelSpec) -> tuple[ModelInstance, Any]:
         inst = build(point)
-        return inst, ground_decomposition(inst)
+        return inst, solve(inst)
 
     if spec.family not in BOSONIC_FAMILIES:
-        return solve(spec)
-    return fock.escalate_n_max(lambda n_max: solve(spec.with_n_max(n_max)), spec.n_max)
+        return attempt(spec)
+    return fock.escalate_n_max(lambda n_max: attempt(spec.with_n_max(n_max)), spec.n_max)
+
+
+def diagonalize_converged(spec: ModelSpec) -> tuple[ModelInstance, SpectralDecomposition]:
+    """Build and diagonalize, doubling n_max until the truncation bound holds."""
+    return _converged(spec, ground_decomposition)
+
+
+def ground_sector_converged(spec: ModelSpec) -> tuple[ModelInstance, GroundSector]:
+    """Build and solve the ground state's block, doubling n_max until the truncation bound holds.
+
+    For the callers that need only the ground state, its block and H's
+    lowest levels: d_omega H is diagonal and keeps each parity block.
+    """
+    return _converged(spec, ground_block)

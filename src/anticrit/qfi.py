@@ -13,6 +13,7 @@ gap-normalized precision metrics.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -25,6 +26,7 @@ from .errors import ConvergenceGuard, DegeneracyGuard, GapGuard, StepGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
 from .spectral import (
+    GroundSector,
     HermitianOperator,
     QuantumState,
     SpectralDecomposition,
@@ -32,6 +34,8 @@ from .spectral import (
     ground_state,
     variance,
 )
+
+logger = logging.getLogger(__name__)
 
 DEGENERACY_TOL = 1e-9
 RAMP_GAP_TOL = 1e-6
@@ -99,24 +103,31 @@ def _nondegenerate_gap(gap: float) -> float:
     return gap
 
 
+def _sector(dec: SpectralDecomposition | GroundSector) -> GroundSector:
+    """The ground state's block; a full decomposition is the one block over all rows."""
+    return dec if isinstance(dec, GroundSector) else GroundSector.whole(dec)
+
+
 def qfi_spectral_sum(
-    model: ModelInstance, dec: SpectralDecomposition | None = None
+    model: ModelInstance, dec: SpectralDecomposition | GroundSector | None = None
 ) -> QfiResult:
-    """4 sum_{n!=0} |<psi_n|dH|psi_0>|^2 / (E_n - E_0)^2."""
-    if dec is None:
-        dec = models.ground_decomposition(model)
-    gap = _nondegenerate_gap(energy_gap(dec))
-    v0 = dec.vectors[:, 0]
-    # every family's d_omega H is diagonal
-    matrix_elems = dec.vectors.conj().T @ (np.diagonal(model.dH_domega.entries) * v0)
-    dE = dec.eigenvalues - dec.eigenvalues[0]
+    """4 sum_{n!=0} |<psi_n|dH|psi_0>|^2 / (E_n - E_0)^2.
+
+    Every family's d_omega H is diagonal and keeps the ground state's block,
+    so the sum runs over that block's levels only; the guard reads H's gap.
+    """
+    sector = models.ground_block(model) if dec is None else _sector(dec)
+    gap = _nondegenerate_gap(energy_gap(sector))
+    vecs = sector.vectors
+    matrix_elems = vecs.conj().T @ (model.dH_domega.diagonal[sector.rows] * vecs[:, 0])
+    dE = sector.energies - sector.energies[0]
     terms = 4.0 * np.abs(matrix_elems[1:]) ** 2 / dE[1:] ** 2
     value = float(np.sum(terms))
     retained = int(np.sum(terms > TERM_WEIGHT_CUTOFF * max(value, 1e-300)))
     diagnostics = {
         "terms_retained": retained,
         "gap": gap,
-        "dim": dec.dim,
+        "dim": sector.psi0.size,
         "dominant_term_fraction": float(terms.max() / value) if value > 0 else 1.0,
     }
     return QfiResult(max(value, 0.0), "spectral_sum", diagnostics)
@@ -142,36 +153,59 @@ def _fd_value(psi0: np.ndarray, plus: np.ndarray, minus: np.ndarray, d: float) -
     )
 
 
+def _block_parity(psi: np.ndarray) -> int | None:
+    """0 or 1 when psi vanishes on every odd or every even index; None when it has both."""
+    if not psi[1::2].any():
+        return 0
+    return 1 if not psi[0::2].any() else None
+
+
 def qfi_state_fd(
     spec: ModelSpec,
     d_omega: float | None = None,
     check_step: bool = True,
-    centre: tuple[ModelInstance, SpectralDecomposition] | None = None,
+    centre: tuple[ModelInstance, SpectralDecomposition | GroundSector] | None = None,
 ) -> QfiResult:
     """Fidelity-susceptibility QFI from central differences of gauge-fixed ground states.
 
-    `centre` is the caller's ``models.diagonalize_converged(spec)``, reused
-    instead of solving the centre point again.
+    The centre is ``models.ground_sector_converged(spec)``, or the caller's
+    `centre`: that or ``models.diagonalize_converged(spec)``, reused instead
+    of solving the centre point again.
+
+    A shift of omega by d moves every level by at most |d| ||d_omega H||,
+    with ||d_omega H|| = max |diag| (Weyl's inequality). So when the centre's
+    gap exceeds 2 |d| ||d_omega H|| + DEGENERACY_TOL on a parity-banded H,
+    each shifted ground state stays in psi_0's parity block with a gap above
+    the tolerance, and each point solves that block's lowest eigenpair only.
+    Otherwise each point solves E_0, E_1 and psi_0 over both blocks.
     """
     if d_omega is None:
         d_omega = FD_STEP_FRACTION * spec.omega
     if centre is None:
-        centre = models.diagonalize_converged(spec)
+        centre = models.ground_sector_converged(spec)
     inst, dec = centre
     if inst.spec.with_n_max(spec.n_max) != spec:
         raise ValueError(f"centre decomposition is of {inst.spec}, not of {spec}")
     if spec.family in models.BOSONIC_FAMILIES:
         spec = spec.with_n_max(inst.spec.n_max)  # same space at all three points
+    sector = _sector(dec)
+    gap0 = _nondegenerate_gap(energy_gap(sector))
+    psi0 = sector.psi0
+    margin = gap0 - 2.0 * abs(d_omega) * float(np.abs(inst.dH_domega.diagonal).max())
+    parity = _block_parity(psi0) if inst.H.bands is not None and margin > DEGENERACY_TOL else None
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "qfi_state_fd certified=%s parity=%s weyl_margin=%.3e",
+            parity is not None, parity, margin,
+        )
 
     def ground_at(omega: float, reference: np.ndarray) -> np.ndarray:
         shifted = models.build(spec.with_omega(omega))
-        e0, e1, psi = ground_state(shifted.H)  # E_0, E_1 and psi_0 only
+        e0, e1, psi = ground_state(shifted.H, parity)  # E_1 = inf when certified
         models.enforce_truncation_bound(shifted, QuantumState(psi, shifted.basis))
         _nondegenerate_gap(e1 - e0)
         return _aligned(psi, reference)
 
-    gap0 = _nondegenerate_gap(energy_gap(dec))
-    psi0 = dec.vectors[:, 0]
     value = _fd_value(
         psi0,
         ground_at(spec.omega + d_omega, psi0),
@@ -248,7 +282,7 @@ def qfi_adiabatic_generator(
     ts = np.linspace(0.0, ramp.T, ramp.steps)
     xs = np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
 
-    dim = None
+    rows = dim = None
     energies = None
     elems = None
     min_gap = math.inf
@@ -259,30 +293,33 @@ def qfi_adiabatic_generator(
             elems[k] = elems[0]
             continue
         spec = ModelSpec.at(family, float(x), omega, n_max=n_max, N=N)
-        inst, dec = models.diagonalize_converged(spec)
+        # d_omega H keeps the ground state's block, so only its levels enter
+        inst, sector = models.ground_sector_converged(spec)
         if np.issubdtype(inst.H.dtype, np.complexfloating):
             raise ValueError("ramp requires a real-symmetric Hamiltonian family")
-        vecs = dec.vectors
+        if dim is None:
+            rows, dim = sector.rows, inst.H.dim
+            energies = np.empty((ramp.steps, sector.energies.size))
+            elems = np.empty((ramp.steps, sector.energies.size))
+        elif inst.H.dim != dim:
+            raise ConvergenceGuard(
+                "truncation level changed along the ramp; fix n_max explicitly"
+            )
+        elif sector.rows != rows:
+            raise GapGuard("the ground state changes parity along the ramp: its level crosses another")
+        vecs = sector.vectors
         if prev_vecs is not None:
             # real gauge with continuity: flip signs to follow the previous step
             signs = np.sign(np.einsum("ij,ij->j", prev_vecs, vecs))
             signs[signs == 0] = 1.0
             vecs = vecs * signs[np.newaxis, :]
         prev_vecs = vecs
-        if dim is None:
-            dim = dec.dim
-            energies = np.empty((ramp.steps, dim))
-            elems = np.empty((ramp.steps, dim))
-        elif dec.dim != dim:
-            raise ConvergenceGuard(
-                "truncation level changed along the ramp; fix n_max explicitly"
-            )
-        gap = dec.eigenvalues[1] - dec.eigenvalues[0]
-        min_gap = min(min_gap, float(gap))
+        gap = energy_gap(sector)
+        min_gap = min(min_gap, gap)
         if gap <= RAMP_GAP_TOL:
             raise GapGuard(f"instantaneous gap {gap:.3e} <= {RAMP_GAP_TOL:.0e} along ramp")
-        energies[k] = dec.eigenvalues
-        elems[k] = vecs.T @ (np.diagonal(inst.dH_domega.entries) * vecs[:, 0])
+        energies[k] = sector.energies
+        elems[k] = vecs.T @ (inst.dH_domega.diagonal[rows] * vecs[:, 0])
 
     value = _generator_value(ts, energies, elems)
     diagnostics: dict[str, Any] = {

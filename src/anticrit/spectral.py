@@ -3,7 +3,8 @@
 Everything downstream (model building, QFI estimators, sweeps) goes
 through :func:`eigendecompose`, which fixes eigenvector phases so that
 repeated runs on the same machine produce bit-identical output;
-:func:`ground_state` solves for E_0, E_1 and the ground state only. A real
+:func:`ground_sector` solves only the block that holds the ground state,
+and :func:`ground_state` only E_0, E_1 and the ground state. A real
 matrix that couples each index only to itself and its neighbours at
 distance 2 is solved as two tridiagonal blocks (even and odd indices);
 any other matrix is split into the connected blocks of its nonzero
@@ -14,6 +15,7 @@ call.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +67,9 @@ class HermitianOperator:
     ``HermitianOperator(m)`` freezes a dense m once it passes the
     Hermiticity check. ``HermitianOperator.parity_banded(diag, lower)``
     stores only the two bands of a real symmetric matrix whose nonzeros lie
-    on diagonals 0 and +/-2, which is symmetric by construction; its
-    ``entries`` are built from them on first use, once.
+    on diagonals 0 and +/-2, which is symmetric by construction, and
+    ``HermitianOperator.from_diagonal(diag)`` a real diagonal matrix as such
+    bands; their ``entries`` are built from the bands on first use, once.
     """
 
     def __init__(self, entries):
@@ -96,6 +99,11 @@ class HermitianOperator:
         object.__setattr__(op, "bands", (diag, lower))
         return op
 
+    @classmethod
+    def from_diagonal(cls, diag) -> HermitianOperator:
+        """The real diagonal matrix with diagonal `diag` (at least 3 entries), held as its bands."""
+        return cls.parity_banded(diag, np.zeros(max(np.size(diag) - 2, 0)))
+
     def __setattr__(self, name, value):
         raise AttributeError(f"HermitianOperator is immutable; cannot set {name!r}")
 
@@ -110,6 +118,11 @@ class HermitianOperator:
             m.setflags(write=False)
             object.__setattr__(self, "_entries", m)
         return self._entries
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, read-only, with no dense matrix built."""
+        return self.bands[0] if self.bands is not None else np.diagonal(self._entries)
 
     @property
     def dim(self) -> int:
@@ -159,6 +172,34 @@ class SpectralDecomposition:
 
     def eigenvector(self, k: int) -> QuantumState:
         return QuantumState(self.vectors[:, k], self.basis)
+
+
+@dataclass(frozen=True, eq=False)
+class GroundSector:
+    """The eigenpairs of the block of H that holds its ground state, and H's lowest levels.
+
+    `levels` holds every level of the block and the two lowest of the rest,
+    ascending: at most two of H's three lowest levels lie outside the block,
+    so ``levels[:3]`` are E_0, E_1 and E_2. A full decomposition is the one
+    block over all rows (:meth:`whole`). The arrays are read-only.
+    """
+
+    energies: np.ndarray  # the block's ascending eigenvalues
+    vectors: np.ndarray  # its phase-fixed eigenvectors as columns, over `rows`
+    rows: slice  # the block's indices in H's order
+    levels: np.ndarray
+    psi0: np.ndarray  # the ground state over all of H's indices
+    basis: str = ""
+
+    @classmethod
+    def whole(cls, dec: SpectralDecomposition) -> GroundSector:
+        """A full decomposition as the one block: its own arrays, no copy."""
+        return cls(dec.eigenvalues, dec.vectors, slice(None), dec.eigenvalues, dec.vectors[:, 0], dec.basis)
+
+    @property
+    def state(self) -> QuantumState:
+        """The ground state, norm-checked."""
+        return QuantumState(self.psi0, self.basis)
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -221,12 +262,35 @@ def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
 Block = tuple[slice | np.ndarray, np.ndarray, np.ndarray | None]  # rows, ascending values, vectors
 
 
-def _parity_blocks(diag: np.ndarray, lower: np.ndarray) -> list[Block]:
-    """Eigenpairs of the even and odd tridiagonal blocks."""
-    return [
-        (slice(parity, None, 2), *sla.eigh_tridiagonal(diag[parity::2], lower[parity::2]))
-        for parity in (0, 1)
-    ]
+def _block_solve(
+    bands: tuple[np.ndarray, np.ndarray], parity: int, count: int | None = None, vectors: bool = True
+):
+    """Eigenvalues of the even (parity 0) or odd tridiagonal block, with their vectors if
+    asked for: every one, or the lowest `count` (fewer if the block is smaller)."""
+    diag, lower = bands[0][parity::2], bands[1][parity::2]
+    if count is None:
+        return sla.eigh_tridiagonal(diag, lower, eigvals_only=not vectors)
+    top = min(count, diag.size) - 1
+    return sla.eigh_tridiagonal(
+        diag, lower, eigvals_only=not vectors, select="i", select_range=(0, top)
+    )
+
+
+def _solve_ground_block(bands: tuple[np.ndarray, np.ndarray], count: int | None, other_count: int):
+    """(parity, values, vectors, other levels): the lowest `count` eigenpairs (every one for
+    None) of the parity block that holds the ground state, and the other block's lowest
+    `other_count` levels.
+
+    The block tried first holds the smallest diagonal entry; should the other
+    block's lowest level lie lower, that block is solved instead.
+    """
+    parity = int(np.argmin(bands[0])) % 2
+    vals, vecs = _block_solve(bands, parity, count)
+    other = _block_solve(bands, 1 - parity, other_count, vectors=False)
+    if other[0] < vals[0]:
+        parity, other = 1 - parity, vals[:other_count]
+        vals, vecs = _block_solve(bands, parity, count)
+    return parity, vals, vecs, other
 
 
 def _pattern_blocks(m: np.ndarray, components: list[np.ndarray]) -> list[Block]:
@@ -297,7 +361,8 @@ def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecompositi
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
     bands = H.bands if H.bands is not None else _parity_bands(H.entries)
     if bands is not None:
-        route, blocks = "parity-tridiagonal", _parity_blocks(*bands)
+        route = "parity-tridiagonal"
+        blocks = [(slice(parity, None, 2), *_block_solve(bands, parity)) for parity in (0, 1)]
     else:
         components = _connected_blocks(H.entries)
         route = "dense" if len(components) == 1 else "blocks"
@@ -317,17 +382,45 @@ def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecompositi
     return SpectralDecomposition(vals, vecs, basis)
 
 
-def _lowest(bands: tuple[np.ndarray, np.ndarray], parity: int, count: int, vectors: bool):
-    """The lowest `count` eigenvalues (fewer if the block is smaller) of one parity block,
-    with their vectors if asked for."""
-    diag, lower = bands[0][parity::2], bands[1][parity::2]
-    top = min(count, diag.size) - 1
-    return sla.eigh_tridiagonal(
-        diag, lower, eigvals_only=not vectors, select="i", select_range=(0, top)
-    )
+def _block_sizes(dim: int) -> str:
+    return f"blocks={(dim + 1) // 2}+{dim // 2}"
 
 
-def ground_state(H: HermitianOperator) -> tuple[float, float, np.ndarray]:
+def ground_sector(H: HermitianOperator, basis: str = "") -> GroundSector:
+    """The block of H that holds its ground state, in the gauge of :func:`eigendecompose`.
+
+    A parity-banded H solves only that parity block with vectors, and the
+    other block's two lowest levels without (the block is picked as in
+    :func:`ground_state`). Any other H is :func:`eigendecompose`'s solve as
+    one block.
+    """
+    if H.dim > MAX_DIM:
+        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
+    if H.bands is None:
+        sector = GroundSector.whole(eigendecompose(H, basis))
+        route = "full"
+    else:
+        parity, vals, vecs, other = _solve_ground_block(H.bands, None, 2)
+        rows = slice(parity, None, 2)
+        vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
+        psi0 = np.zeros(H.dim)
+        psi0[rows] = vecs[:, 0]
+        levels = np.sort(np.concatenate((vals, other)))
+        for array in (vals, vecs, psi0, levels):
+            array.setflags(write=False)
+        sector = GroundSector(vals, vecs, rows, levels, psi0, basis)
+        route = f"parity-tridiagonal {_block_sizes(H.dim)} ground={parity}"
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "ground_sector dim=%d route=%s gap=%.3e",
+            H.dim, route, sector.levels[1] - sector.levels[0],
+        )
+    return sector
+
+
+def ground_state(
+    H: HermitianOperator, parity: int | None = None
+) -> tuple[float, float, np.ndarray]:
     """(E_0, E_1, ground state), the state in the gauge of :func:`eigendecompose`.
 
     A parity-banded H needs no dense matrix: one parity block gives its two
@@ -335,6 +428,10 @@ def ground_state(H: HermitianOperator) -> tuple[float, float, np.ndarray]:
     The block tried first holds H's smallest diagonal entry; should the
     other block's level lie lower, that block gives the vector instead. Any
     other H takes the full :func:`eigendecompose`.
+
+    With `parity`, a parity-banded H solves only that block's lowest
+    eigenpair: for a caller that has certified the ground state lies there
+    with a gap above its tolerance. E_1 is then not solved, and is inf.
     """
     if H.dim > MAX_DIM:
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
@@ -344,41 +441,43 @@ def ground_state(H: HermitianOperator) -> tuple[float, float, np.ndarray]:
         (e0, e1), psi = dec.eigenvalues[:2], dec.vectors[:, 0]
         route = "full"
     else:
-        parity = int(np.argmin(H.bands[0])) % 2
-        vals, vecs = _lowest(H.bands, parity, 2, vectors=True)
-        other = _lowest(H.bands, 1 - parity, 1, vectors=False)
-        if other[0] < vals[0]:
-            parity, other = 1 - parity, vals[:1]
-            vals, vecs = _lowest(H.bands, parity, 2, vectors=True)
-        e0, e1 = vals[0], np.sort(np.concatenate((vals, other)))[1]
+        if parity is not None:
+            vals, vecs = _block_solve(H.bands, parity, 1)
+            e0, e1, label = vals[0], math.inf, "certified"
+        else:
+            parity, vals, vecs, other = _solve_ground_block(H.bands, 2, 1)
+            e0, e1, label = vals[0], np.sort(np.concatenate((vals, other)))[1], "ground"
+        route = f"parity-tridiagonal {_block_sizes(H.dim)} {label}={parity}"
         psi = np.zeros(H.dim)
         psi[parity::2] = _fix_phases(vecs[:, :1])[:, 0]
-        route = f"parity-tridiagonal blocks={(H.dim + 1) // 2}+{H.dim // 2} ground={parity}"
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("ground_state dim=%d route=%s gap=%.3e", H.dim, route, e1 - e0)
     return float(e0), float(e1), psi
 
 
-def energy_gap(spec: SpectralDecomposition) -> float:
+def energy_gap(spec: SpectralDecomposition | GroundSector) -> float:
     """First excitation gap E_1 - E_0."""
-    if spec.dim < 2:
+    levels = spec.levels if isinstance(spec, GroundSector) else spec.eigenvalues
+    if levels.size < 2:
         raise DimensionGuard("energy gap needs at least two levels")
-    return float(spec.eigenvalues[1] - spec.eigenvalues[0])
+    return float(levels[1] - levels[0])
+
+
+def _image(A: HermitianOperator, s: QuantumState) -> np.ndarray:
+    """A s, from the bands when A has them."""
+    if A.dim != s.dim:
+        raise DimensionGuard(f"operator dim {A.dim} != state dim {s.dim}")
+    return A.entries @ s.amplitudes if A.bands is None else _band_product(A.bands, s.amplitudes)
 
 
 def expectation(A: HermitianOperator, s: QuantumState) -> float:
     """Re <s|A|s>."""
-    if A.dim != s.dim:
-        raise DimensionGuard(f"operator dim {A.dim} != state dim {s.dim}")
-    val = np.vdot(s.amplitudes, A.entries @ s.amplitudes)
-    return float(val.real)
+    return float(np.vdot(s.amplitudes, _image(A, s)).real)
 
 
 def variance(A: HermitianOperator, s: QuantumState) -> float:
     """||(A - <A>) s||^2, non-negative by construction."""
-    if A.dim != s.dim:
-        raise DimensionGuard(f"operator dim {A.dim} != state dim {s.dim}")
-    return image_variance(s.amplitudes, A.entries @ s.amplitudes)
+    return image_variance(s.amplitudes, _image(A, s))
 
 
 def image_variance(psi: np.ndarray, image: np.ndarray) -> float:

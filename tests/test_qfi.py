@@ -1,3 +1,4 @@
+import logging
 import math
 from unittest import mock
 
@@ -5,7 +6,13 @@ import numpy as np
 import pytest
 
 from anticrit import models, qfi, spectral
-from anticrit.errors import CriticalPointGuard, DegeneracyGuard, GapGuard, TruncationGuard
+from anticrit.errors import (
+    ConvergenceGuard,
+    CriticalPointGuard,
+    DegeneracyGuard,
+    GapGuard,
+    TruncationGuard,
+)
 from anticrit.fock import FockSpace, number_operator, squeeze_vacuum
 from anticrit.models import ModelInstance, ModelSpec
 from anticrit.qfi import (
@@ -19,7 +26,19 @@ from anticrit.qfi import (
     qfi_state_fd,
 )
 from anticrit.spectral import HermitianOperator, QuantumState
+from test_acceptance import TOL  # the golden contract's eigensolver tolerance
 from test_spectral import banded_entries_spy  # banded operators whose dense matrix is read
+
+
+def ground_state_parities():
+    """A spy on the ground solves of qfi_state_fd; each call records the parity it was given."""
+    parities = []
+
+    def spy(H, parity=None):
+        parities.append(parity)
+        return spectral.ground_state(H, parity)
+
+    return mock.patch.object(qfi, "ground_state", spy), parities
 
 
 class TestAnalytic:
@@ -115,6 +134,44 @@ class TestStateFd:
         with pytest.raises(TruncationGuard, match="top Fock levels"):
             qfi_state_fd(spec, d_omega=0.03, check_step=False, centre=centre)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec.effective("low", x=0.9),
+            ModelSpec.effective("high", x=8.0),
+            ModelSpec(family="lmg", omega=1.0, g=0.9, N=200),
+        ],
+        ids=["effective_low", "effective_high", "lmg"],
+    )
+    def test_certified_points_match_both_block_solves(self, spec, caplog):
+        patch, parities = ground_state_parities()
+        with patch, caplog.at_level(logging.DEBUG, logger="anticrit.qfi"):
+            certified = qfi_state_fd(spec).value
+        assert parities == [0, 0, 0, 0]
+        assert "certified=True parity=0 weyl_margin=" in caplog.text
+        # today's route: both blocks at every point, E_1 and the degeneracy guard included
+        with mock.patch.object(qfi, "ground_state", lambda H, parity: spectral.ground_state(H)):
+            both = qfi_state_fd(spec).value
+        d = qfi.FD_STEP_FRACTION * spec.omega
+        bound = 4.0 * math.sqrt(both) * TOL / d + 4.0 * (TOL / d) ** 2  # the golden qfi_fd bound
+        assert abs(certified - both) <= bound
+
+    def test_uncertified_points_solve_both_blocks(self, caplog):
+        # omega -/+ 0.03 may move each of 33 levels by 0.03 x 32, beyond the gap 0.316
+        spec = ModelSpec.effective("low", x=0.9, n_max=32)
+        inst = models.build(spec)
+        patch, parities = ground_state_parities()
+        with patch, caplog.at_level(logging.DEBUG, logger="anticrit.qfi"), \
+                pytest.raises(TruncationGuard, match="top Fock levels"):
+            qfi_state_fd(spec, d_omega=0.03, check_step=False, centre=(inst, models.ground_block(inst)))
+        assert parities == [None, None]  # omega + 0.03 fits; omega - 0.03 raises
+        assert "certified=False parity=None weyl_margin=-1.604e+00" in caplog.text
+
+    def test_quasi_degenerate_centre_refused(self):
+        # ferromagnetic LMG: the two parity blocks' lowest levels agree to 1e-14
+        with pytest.raises(DegeneracyGuard):
+            qfi_state_fd(ModelSpec(family="lmg", omega=1.0, g=2.0, N=200))
+
     def test_centre_of_another_spec_rejected(self):
         spec = ModelSpec(family="lmg", omega=1.0, g=0.5, N=60)
         centre = models.diagonalize_converged(spec.with_omega(1.1))
@@ -202,6 +259,12 @@ class TestAdiabaticGenerator:
         with banded_entries_spy() as read:
             qfi_adiabatic_generator("effective_high", ramp, n_max=60, check_convergence=False)
         assert read == []
+
+    def test_escalation_along_the_ramp_refused(self):
+        # x = 0.1 fits in 21 levels, x = 0.95 needs 41: the step solves differ in size
+        ramp = RampSpec(0.1, 0.95, 2.0, steps=11)
+        with pytest.raises(ConvergenceGuard, match="truncation level changed"):
+            qfi_adiabatic_generator("effective_low", ramp, n_max=20, check_convergence=False)
 
     def test_constant_requires_equal_endpoints(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from anticrit.fock import FockSpace, number_operator, squeeze_vacuum
 from anticrit.models import ModelSpec, build
 from anticrit.qfi import qfi_spectral_sum
 from anticrit.spectral import (
+    GroundSector,
     HermitianOperator,
     QuantumState,
     eigendecompose,
@@ -430,6 +431,156 @@ class TestGroundState:
         monkeypatch.setattr(spectral, "MAX_DIM", 3)
         with pytest.raises(DimensionGuard):
             spectral.ground_state(op)
+
+
+def tridiagonal_calls():
+    """A spy on scipy's eigh_tridiagonal; each call is recorded as (block size, select, vectors)."""
+    calls = []
+    solve = sla.eigh_tridiagonal
+
+    def spy(d, e, eigvals_only=False, select="a", select_range=None, **kwargs):
+        calls.append((d.size, select if select == "a" else tuple(select_range), not eigvals_only))
+        return solve(d, e, eigvals_only=eigvals_only, select=select, select_range=select_range, **kwargs)
+
+    return mock.patch.object(sla, "eigh_tridiagonal", spy), calls
+
+
+class TestGroundSector:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(3, 60),
+        seed=st.integers(0, 10**6),
+        band_zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_matches_eigendecompose(self, dim, seed, band_zero_fraction):
+        op = HermitianOperator.parity_banded(*random_bands(dim, seed, band_zero_fraction))
+        sector = spectral.ground_sector(op)
+        m = op.entries
+        tol = 128 * np.finfo(float).eps * max(np.linalg.norm(m, 2), 1e-300)
+        assert np.abs(sector.levels[:3] - np.linalg.eigvalsh(m)[:3]).max() <= tol
+        assert sector.energies[0] == sector.levels[0]
+        # the block's eigenpairs are eigendecompose's columns of that parity, bit for bit
+        parity = sector.rows.start
+        assert sector.rows == slice(parity, None, 2)
+        dec = eigendecompose(op)
+        columns = np.flatnonzero(~np.any(dec.vectors[1 - parity :: 2], axis=0))
+        assert np.array_equal(sector.energies, dec.eigenvalues[columns])
+        assert np.array_equal(sector.vectors, dec.vectors[parity::2][:, columns])
+        assert np.array_equal(sector.psi0, dec.vectors[:, columns[0]])
+        for array in (sector.energies, sector.vectors, sector.psi0, sector.levels):
+            assert not array.flags.writeable
+
+    def test_other_block_lower_is_solved_instead(self):
+        # the smallest diagonal entry sits in the odd block, the ground state in the even one
+        op = HermitianOperator.parity_banded([0.0, -1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 2.0])
+        patch, calls = tridiagonal_calls()
+        with patch:
+            sector = spectral.ground_sector(op)
+        # odd block with vectors, even block's two lowest, then the even block with vectors
+        assert calls == [(2, "a", True), (3, (0, 1), False), (3, "a", True)]
+        dec = eigendecompose(op)
+        assert sector.rows == slice(0, None, 2)
+        assert np.array_equal(sector.psi0, dec.vectors[:, 0])
+        assert np.array_equal(sector.levels, dec.eigenvalues)  # odd block: 2 levels, both kept
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.effective("high", x=4.0, n_max=40),
+        ModelSpec(family="lmg", omega=1.0, g=0.7, N=40),
+    ], ids=["effective_high", "lmg"])
+    def test_one_vector_solve_on_model_hamiltonians(self, spec):
+        op = build(spec).H
+        patch, calls = tridiagonal_calls()
+        with patch, banded_entries_spy() as read:
+            sector = spectral.ground_sector(op)
+        assert [call for call in calls if call[1] == "a"] == [((op.dim + 1) // 2, "a", True)]
+        assert [call for call in calls if call[1] != "a"] == [(op.dim // 2, (0, 1), False)]
+        assert read == []
+        dec = eigendecompose(op)
+        assert np.array_equal(sector.psi0, dec.vectors[:, 0])
+        assert np.abs(sector.levels[:3] - dec.eigenvalues[:3]).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=4)).H,
+            lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H,
+        ],
+        ids=["tfim", "rabi_full"],
+    )
+    def test_other_operators_are_one_block(self, make):
+        op = make()
+        solves = []
+
+        def recorded(*args):
+            solves.append(eigendecompose(*args))
+            return solves[-1]
+
+        with mock.patch.object(spectral, "eigendecompose", recorded):
+            sector = spectral.ground_sector(op, basis="b")
+        [dec] = solves
+        assert sector.energies is dec.eigenvalues and sector.levels is dec.eigenvalues
+        assert sector.vectors is dec.vectors and sector.psi0.base is dec.vectors
+        assert sector.rows == slice(None) and sector.basis == "b"
+        assert np.array_equal(sector.psi0, eigendecompose(op).vectors[:, 0])
+
+    def test_whole_shares_the_arrays(self):
+        dec = eigendecompose(random_hermitian(6, 2))
+        sector = GroundSector.whole(dec)
+        assert sector.energies is dec.eigenvalues and sector.vectors is dec.vectors
+        assert np.array_equal(sector.state.amplitudes, dec.vectors[:, 0])
+        assert energy_gap(sector) == energy_gap(dec)
+
+    def test_debug_line_names_route_blocks_parity_and_gap(self, caplog):
+        op = build(ModelSpec.effective("low", x=0.5, n_max=10)).H
+        with caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+            sector = spectral.ground_sector(op)
+        gap = sector.levels[1] - sector.levels[0]
+        assert f"ground_sector dim=11 route=parity-tridiagonal blocks=6+5 ground=0 gap={gap:.3e}" in caplog.text
+
+    def test_dimension_guard(self, monkeypatch):
+        op = HermitianOperator.parity_banded(*random_bands(4, 0, 0.0))
+        monkeypatch.setattr(spectral, "MAX_DIM", 3)
+        with pytest.raises(DimensionGuard):
+            spectral.ground_sector(op)
+
+
+class TestDiagonalOperator:
+    def test_held_as_bands(self):
+        op = HermitianOperator.from_diagonal([3, -1, 2, 0])
+        assert op.bands is not None and not np.any(op.bands[1])
+        assert np.array_equal(op.diagonal, [3.0, -1.0, 2.0, 0.0]) and op.diagonal.dtype == np.float64
+        assert np.array_equal(op.entries, np.diag([3.0, -1.0, 2.0, 0.0]))
+
+    def test_too_small_rejected(self):
+        with pytest.raises(DimensionGuard):
+            HermitianOperator.from_diagonal([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec.rabi(1.0, 50.0, 0.3, n_max=8),
+            ModelSpec.effective("low", x=0.5, n_max=8),
+            ModelSpec(family="lmg", omega=1.0, g=0.5, N=8),
+            ModelSpec(family="tfim", omega=1.0, g=0.5, N=4),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_d_omega_h_is_diagonal_and_never_dense(self, spec):
+        with banded_entries_spy() as read:
+            inst = build(spec)
+            state = QuantumState(np.ones(inst.H.dim) / math.sqrt(inst.H.dim), inst.basis)
+            mean, var = expectation(inst.dH_domega, state), variance(inst.dH_domega, state)
+        assert read == []
+        dense = np.diag(inst.dH_domega.diagonal)
+        assert np.array_equal(inst.dH_domega.entries, dense)
+        assert mean == pytest.approx(np.vdot(state.amplitudes, dense @ state.amplitudes), abs=1e-12)
+        assert var == pytest.approx(variance(HermitianOperator(dense), state), abs=1e-12)
+
+    def test_image_bit_identical_to_dense_matvec(self):
+        # only exact zeros drop out of each sum, so d * v0 is D @ v0 bit for bit
+        inst = build(ModelSpec.effective("low", x=0.7))
+        v0 = eigendecompose(inst.H).vectors[:, 0]
+        assert np.array_equal(inst.dH_domega.diagonal * v0, inst.dH_domega.entries @ v0)
 
 
 def block_diagonal(sizes, singles, seed, complex_, repeat):

@@ -2,11 +2,12 @@ import gc
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from anticrit import models, sweep
+from anticrit import models, spectral, sweep
 from anticrit.models import ModelSpec
 from anticrit.sweep import (
     CHAIN_DEFAULT_COLUMNS,
@@ -23,6 +24,7 @@ from anticrit.sweep import (
     write_csv,
 )
 from test_spectral import banded_entries_spy  # banded operators whose dense matrix is read
+from test_spectral import tridiagonal_calls  # eigh_tridiagonal calls as (size, select, vectors)
 
 
 class TestGrids:
@@ -109,6 +111,31 @@ def test_rows_never_build_a_dense_hamiltonian(family, grid):
     assert read == []
 
 
+@pytest.mark.parametrize(
+    "family,grid,full_vectors",
+    [("effective", (-8.0,), 151), ("effective", (0.5,), 151), ("lmg", (0.7,), 101)],
+    ids=["effective_high", "effective_low", "lmg"],
+)
+def test_row_solves_one_block_with_all_vectors(family, grid, full_vectors):
+    patch, calls = tridiagonal_calls()
+    with patch, mock.patch.object(spectral, "eigendecompose", wraps=spectral.eigendecompose) as full:
+        [row] = run_sweep(SweepConfig(family=family, grid=grid))
+    assert row["status"] == "ok"
+    assert full.call_count == 0
+    # the centre: the ground block with every vector, the other block's two lowest levels;
+    # each of the four certified points: one eigenpair of the ground block
+    assert [call for call in calls if call[1] == "a"] == [(full_vectors, "a", True)]
+    assert [call for call in calls if call[1] != "a"] == (
+        [(full_vectors - 1, (0, 1), False)] + [(full_vectors, (0, 0), True)] * 4
+    )
+
+
+def test_chain_row_makes_one_full_solve():
+    with mock.patch.object(spectral, "eigendecompose", wraps=spectral.eigendecompose) as full:
+        [row] = run_sweep(SweepConfig(family="tfim", grid=(0.7,), N=4))
+    assert row["status"] == "ok" and full.call_count == 1
+
+
 class TestSpinSweeps:
     def test_lmg_free_point(self):
         rows = run_sweep(SweepConfig(family="lmg", grid=(0.0, 0.5), N=60))
@@ -185,6 +212,23 @@ class TestSpinSweeps:
             tracemalloc.stop()
         assert rows[0]["status"] == "ok"
         assert retained <= 8 * 4**10 + 2**20
+
+    def test_chain_row_retains_no_dense_matrix(self):
+        # d_omega H is held as its diagonal: what one N=10 row leaves cached is
+        # the bit tables and the bands (about 0.4 MiB), far below one 2^N x 2^N
+        # matrix (8 MiB)
+        models._chain_terms.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = run_sweep(SweepConfig(family="tfim", grid=(0.5,), N=10))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rows[0]["status"] == "ok"
+        assert retained <= 2**20
 
 
 class TestConvergenceReport:
