@@ -23,8 +23,8 @@ from .fock import Sector
 from .spectral import (
     GroundSector,
     HermitianOperator,
-    QuantumState,
     SpectralDecomposition,
+    check_norm,
     eigendecompose,
     ground_sector,
 )
@@ -100,7 +100,7 @@ class ModelSpec:
         return dataclasses.replace(self, omega=omega)
 
     def with_n_max(self, n_max: int) -> "ModelSpec":
-        return dataclasses.replace(self, n_max=n_max)
+        return self if n_max == self.n_max else dataclasses.replace(self, n_max=n_max)
 
     @classmethod
     def at(cls, family: str, x: float, omega: float = 1.0, **fields) -> "ModelSpec":
@@ -115,7 +115,7 @@ class ModelSpec:
             g = math.sqrt(x * omega * free.Omega)
         else:
             g = math.sqrt(x) * omega
-        return dataclasses.replace(free, g=g)
+        return cls(family, omega, g, free.Omega, free.N, free.n_max)
 
     @classmethod
     def effective(
@@ -171,23 +171,24 @@ def _tridiagonal_square(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _quadrature_square(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bands of (a+adag)^2 on `dim` Fock levels; <n-1|a+adag|n> = sqrt(n)."""
-    return _tridiagonal_square(np.sqrt(np.arange(1.0, dim)))
+def _effective_terms(n_max: int) -> tuple[HermitianOperator, tuple[np.ndarray, np.ndarray], str]:
+    """(n = d_omega H, the bands of (a+adag)^2, the basis label) on the Fock space truncated
+    at n_max; <n-1|a+adag|n> = sqrt(n)."""
+    space = fock.FockSpace(n_max)
+    q2 = _tridiagonal_square(np.sqrt(np.arange(1.0, space.dim)))
+    return fock.number_operator(space), q2, space.basis_label
 
 
 def build_effective(spec: ModelSpec) -> ModelInstance:
     """H = omega n -/+ g^2/(4 Omega) (a+adag)^2, constant terms dropped."""
-    space = fock.FockSpace(spec.n_max)
-    nop = fock.number_operator(space)
-    q2_diag, q2_band = _quadrature_square(space.dim)
+    nop, (q2_diag, q2_band), basis = _effective_terms(spec.n_max)
     sign = -1.0 if spec.sector is Sector.LOW else +1.0
     c = sign * spec.g**2 / (4.0 * spec.Omega)
     # 0.0 + c q2_band is omega n + c q2 off the diagonal: +0.0, not -0.0, at g = 0
     H = HermitianOperator.parity_banded(
         spec.omega * nop.diagonal + c * q2_diag, 0.0 + c * q2_band
     )
-    return ModelInstance(H, nop, spec, space.basis_label)
+    return ModelInstance(H, nop, spec, basis)
 
 
 @lru_cache(maxsize=4)
@@ -286,19 +287,19 @@ def characteristic_time(sector: Sector | str, omega: float, x: float) -> float:
     return 1.0 / effective_frequency(sector, omega, x)
 
 
-def truncation_weight(instance: ModelInstance, state: QuantumState) -> float:
-    """Ground-state population of the top two Fock levels (bosonic only)."""
+def truncation_weight(instance: ModelInstance, amps: np.ndarray) -> float:
+    """Population of the top two Fock levels in the ground-state amplitudes (bosonic only)."""
     if instance.spec.family not in BOSONIC_FAMILIES:
         raise ValueError(f"no Fock truncation for family {instance.spec.family}")
-    amps = state.amplitudes
     if instance.spec.family == "rabi_full":
         amps = amps.reshape(instance.spec.n_max + 1, 2)
         return float(np.sum(np.abs(amps[-2:, :]) ** 2))
     return float(np.sum(np.abs(amps[-2:]) ** 2))
 
 
-def enforce_truncation_bound(instance: ModelInstance, ground: QuantumState) -> None:
-    """TruncationGuard when a bosonic ground state populates the top two Fock levels."""
+def enforce_truncation_bound(instance: ModelInstance, ground: np.ndarray) -> None:
+    """TruncationGuard when a bosonic ground state (its amplitudes) populates the top two
+    Fock levels."""
     if instance.spec.family not in BOSONIC_FAMILIES:
         return
     weight = truncation_weight(instance, ground)
@@ -315,14 +316,16 @@ def ground_decomposition(
     """Diagonalize and, for bosonic families, enforce the truncation bound."""
     dec = eigendecompose(instance.H, basis=instance.basis)
     if check_truncation:
-        enforce_truncation_bound(instance, dec.eigenvector(0))
+        enforce_truncation_bound(instance, dec.eigenvector(0).amplitudes)
     return dec
 
 
 def ground_block(instance: ModelInstance) -> GroundSector:
-    """:func:`spectral.ground_sector` of H, with the truncation bound enforced."""
+    """:func:`spectral.ground_sector` of H, with the ground state's norm and the truncation
+    bound checked."""
     sector = ground_sector(instance.H, basis=instance.basis)
-    enforce_truncation_bound(instance, sector.state)
+    check_norm(sector.psi0)
+    enforce_truncation_bound(instance, sector.psi0)
     return sector
 
 

@@ -10,6 +10,12 @@ distance 2 is solved as two tridiagonal blocks (even and odd indices);
 any other matrix is split into the connected blocks of its nonzero
 pattern, and each block of more than one index takes one dense LAPACK
 call.
+
+A tridiagonal block goes straight to LAPACK's float64 drivers: ``stevd``
+for every eigenpair, ``stebz`` (then ``stein`` for vectors) for the lowest
+few. These are the calls ``scipy.linalg.eigh_tridiagonal`` makes with its
+default driver, bit for bit, without its per-call input checks: a banded
+operator's bands are checked finite once, when it is built.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ NORM_TOL = 1e-12
 DEGENERACY_CLUSTER_TOL = 1e-9
 MAX_DIM = 2**14
 _HERMITICITY_TILE = 128
+_STEVD, _STEBZ, _STEIN = sla.get_lapack_funcs(("stevd", "stebz", "stein"), dtype=np.float64)
 
 
 def _freeze(arr) -> np.ndarray:
@@ -42,6 +49,12 @@ def _freeze(arr) -> np.ndarray:
     out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+def _check_finite(diag: np.ndarray, lower: np.ndarray) -> None:
+    """ValueError, with scipy's message, when a band holds a NaN or an infinity."""
+    if not (np.isfinite(diag).all() and np.isfinite(lower).all()):
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _hermiticity_deviation(m: np.ndarray) -> tuple[float, float]:
@@ -88,12 +101,13 @@ class HermitianOperator:
     def parity_banded(cls, diag, lower) -> HermitianOperator:
         """The real symmetric matrix with diagonal `diag` and `lower` on diagonals +/-2."""
         diag, lower = _freeze(diag), _freeze(lower)
-        if np.iscomplexobj(diag) or np.iscomplexobj(lower):
+        if diag.dtype.kind == "c" or lower.dtype.kind == "c":
             raise TypeError("a parity-banded operator takes real bands")
         if diag.ndim != 1 or diag.size < 3 or lower.shape != (diag.size - 2,):
             raise DimensionGuard(
                 f"bands of shapes {diag.shape} and {lower.shape} are not (n,) and (n - 2,), n >= 3"
             )
+        _check_finite(diag, lower)
         op = cls.__new__(cls)
         object.__setattr__(op, "_entries", None)
         object.__setattr__(op, "bands", (diag, lower))
@@ -133,6 +147,13 @@ class HermitianOperator:
         return self.bands[0].dtype if self.bands is not None else self._entries.dtype
 
 
+def check_norm(amplitudes: np.ndarray) -> None:
+    """ValueError when the amplitude vector's norm deviates from 1 beyond NORM_TOL."""
+    norm = np.linalg.norm(amplitudes)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """Normalized amplitude vector over a labeled basis."""
@@ -144,9 +165,7 @@ class QuantumState:
         v = _freeze(np.ravel(self.amplitudes))
         if v.size < 1:
             raise DimensionGuard("empty state vector")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
+        check_norm(v)
         object.__setattr__(self, "amplitudes", v)
 
     @property
@@ -206,7 +225,10 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate (in place) each column so its largest-magnitude amplitude is real positive."""
     idx = np.abs(vecs).argmax(axis=0)
     pivots = vecs[idx, np.arange(vecs.shape[1])]
-    vecs *= (pivots / np.abs(pivots)).conj()[np.newaxis, :]
+    if vecs.dtype.kind == "c":
+        vecs *= (pivots / np.abs(pivots)).conj()
+    else:
+        vecs *= np.sign(pivots)  # the same bits as p / |p| on real pivots
     return vecs
 
 
@@ -215,10 +237,10 @@ def _orthonormalize_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
     The runs of one length are factored by one stacked QR call.
     """
-    edges = np.flatnonzero(np.diff(vals) >= DEGENERACY_CLUSTER_TOL) + 1
-    if edges.size == vals.size - 1:  # every run has length one
+    gaps = vals[1:] - vals[:-1]
+    if vals.size < 2 or gaps.min() >= DEGENERACY_CLUSTER_TOL:  # every run has length one
         return vecs
-    edges = np.concatenate(([0], edges, [vals.size]))
+    edges = np.concatenate(([0], np.flatnonzero(gaps >= DEGENERACY_CLUSTER_TOL) + 1, [vals.size]))
     starts, sizes = edges[:-1], np.diff(edges)
     for size in np.unique(sizes[sizes > 1]):
         columns = starts[sizes == size, np.newaxis] + np.arange(size)  # (runs, size)
@@ -237,7 +259,10 @@ def _parity_bands(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     diag, lower, upper = np.diagonal(m), np.diagonal(m, -2), np.diagonal(m, 2)
     banded = np.count_nonzero(diag) + np.count_nonzero(lower) + np.count_nonzero(upper)
-    return (diag, lower) if np.count_nonzero(m) == banded else None
+    if np.count_nonzero(m) != banded:
+        return None
+    _check_finite(diag, lower)
+    return diag, lower
 
 
 def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -245,8 +270,8 @@ def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
 
     The blocks come in the order of their first index.
     """
-    # imported here: scipy.sparse costs about 5 MB and 25 ms to import, and
-    # the oscillator and LMG Hamiltonians never reach this search
+    # imported here: scipy.sparse and csgraph cost about 4 MB and 50 ms to
+    # import, and the oscillator and LMG Hamiltonians never reach this search
     import scipy.sparse as sparse
     from scipy.sparse import csgraph
 
@@ -262,18 +287,49 @@ def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
 Block = tuple[slice | np.ndarray, np.ndarray, np.ndarray | None]  # rows, ascending values, vectors
 
 
+def _lapack_info(info: int, driver: str, failure: str = "did not converge (LAPACK info={})") -> None:
+    """Raise for a nonzero LAPACK info, with the exception types scipy raises."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{driver} {failure.format(info)}")
+
+
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, count: int | None = None, vectors: bool = True):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal `d` and
+    off-diagonal `e` (finite float64), with their vectors if asked for: every one, or
+    the lowest `count` (fewer if the matrix is smaller).
+
+    The same bits as ``scipy.linalg.eigh_tridiagonal`` with its default
+    driver, which picks ``stevd`` for every level and ``stebz`` (then
+    ``stein``, then a sort) for the lowest `count`.
+    """
+    if d.size == 1:
+        w = np.array([d[0]])
+        return (w, np.ones((1, 1))) if vectors else w
+    if count is None:
+        w, v, info = _STEVD(d, e, compute_v=vectors)
+        _lapack_info(info, "stevd")
+        return (w, v) if vectors else w
+    m, w, block, split, info = _STEBZ(
+        d, e, 2, 0.0, 1.0, 1, min(count, d.size), 0.0, "B" if vectors else "E"
+    )
+    _lapack_info(info, "stebz")
+    w = w[:m]
+    if not vectors:
+        return w
+    v, info = _STEIN(d, e, w, block, split)
+    _lapack_info(info, "stein", "left {} eigenvectors unconverged")
+    order = np.argsort(w)  # stebz's "B" order is block by block
+    return w[order], v[:, order]
+
+
 def _block_solve(
     bands: tuple[np.ndarray, np.ndarray], parity: int, count: int | None = None, vectors: bool = True
 ):
     """Eigenvalues of the even (parity 0) or odd tridiagonal block, with their vectors if
     asked for: every one, or the lowest `count` (fewer if the block is smaller)."""
-    diag, lower = bands[0][parity::2], bands[1][parity::2]
-    if count is None:
-        return sla.eigh_tridiagonal(diag, lower, eigvals_only=not vectors)
-    top = min(count, diag.size) - 1
-    return sla.eigh_tridiagonal(
-        diag, lower, eigvals_only=not vectors, select="i", select_range=(0, top)
-    )
+    return _eigh_tridiagonal(bands[0][parity::2], bands[1][parity::2], count, vectors)
 
 
 def _solve_ground_block(bands: tuple[np.ndarray, np.ndarray], count: int | None, other_count: int):
@@ -284,7 +340,7 @@ def _solve_ground_block(bands: tuple[np.ndarray, np.ndarray], count: int | None,
     The block tried first holds the smallest diagonal entry; should the other
     block's lowest level lie lower, that block is solved instead.
     """
-    parity = int(np.argmin(bands[0])) % 2
+    parity = int(bands[0].argmin()) % 2
     vals, vecs = _block_solve(bands, parity, count)
     other = _block_solve(bands, 1 - parity, other_count, vectors=False)
     if other[0] < vals[0]:
@@ -398,19 +454,21 @@ def ground_sector(H: HermitianOperator, basis: str = "") -> GroundSector:
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
     if H.bands is None:
         sector = GroundSector.whole(eigendecompose(H, basis))
-        route = "full"
     else:
         parity, vals, vecs, other = _solve_ground_block(H.bands, None, 2)
         rows = slice(parity, None, 2)
         vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
         psi0 = np.zeros(H.dim)
         psi0[rows] = vecs[:, 0]
-        levels = np.sort(np.concatenate((vals, other)))
+        levels = np.concatenate((vals, other))
+        levels.sort()
         for array in (vals, vecs, psi0, levels):
             array.setflags(write=False)
         sector = GroundSector(vals, vecs, rows, levels, psi0, basis)
-        route = f"parity-tridiagonal {_block_sizes(H.dim)} ground={parity}"
     if logger.isEnabledFor(logging.DEBUG):
+        route = "full" if H.bands is None else (
+            f"parity-tridiagonal {_block_sizes(H.dim)} ground={sector.rows.start}"
+        )
         logger.debug(
             "ground_sector dim=%d route=%s gap=%.3e",
             H.dim, route, sector.levels[1] - sector.levels[0],

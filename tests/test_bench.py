@@ -3,7 +3,8 @@
 ``bench/run.py --self-test`` checks the squeezed-oscillator closed forms, the
 tridiagonal LMG block, the free-fermion tfim sum and the ramp quadrature
 against real sweep and ramp output, and that each check rejects a perturbed
-cell. A one-second ``sweep-oscillator`` run checks every row it computes.
+cell. One-second ``sweep-oscillator`` and ``ramp-adiabatic`` runs check every
+row and ramp they compute.
 """
 
 import json
@@ -25,6 +26,16 @@ def test_bench_self_test_passes():
 def test_sweep_oscillator_rows_pass_their_checks():
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", "sweep-oscillator", "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["attempted"] > 0 and result["failed"] == 0
+
+
+def test_ramp_adiabatic_ramps_pass_their_checks():
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "ramp-adiabatic", "--seconds", "1", "--trace", "0"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,23 @@ class TestNegativeX:
             capsys, "qfi", "--family", "effective_high", "--x", "-0.5", "--method", method
         )
         assert (code, out, err) == (2, "", "error: x must be >= 0, got -0.5\n")
+
+
+class TestNonFiniteX:
+    """A NaN coupling reaches a banded Hamiltonian, which refuses it when it is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qfi", "--family", "effective_high", "--x", "nan"),
+            ("qfi", "--family", "lmg", "--x", "nan", "--N", "20"),
+            ("adiabatic", "--family", "effective_high", "--x-start", "0", "--x-end", "nan",
+             "--T", "2", "--steps", "101"),
+        ],
+        ids=["qfi_effective_high", "qfi_lmg", "adiabatic_effective_high"],
+    )
+    def test_usage_error(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (2, "", "error: array must not contain infs or NaNs\n")
 
 
 class TestSweepCommand:
@@ -361,6 +382,17 @@ class TestConfig:
                   "--T", "2"])
         assert [getattr(m, n) for m, n in zip(modules, names)] == before
         assert run_cli(capsys, "gap", "--family", "lmg", "--N", "20")[0] == 0
+
+
+def test_import_loads_neither_integrate_nor_sparse():
+    # scipy.sparse is imported only by the block search that chain Hamiltonians reach
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, anticrit; print(sorted({'scipy.integrate', 'scipy.sparse'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 class TestVersion:

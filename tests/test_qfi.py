@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from anticrit import models, qfi, spectral
 from anticrit.errors import (
@@ -253,6 +254,32 @@ class TestAdiabaticGenerator:
         result = qfi_adiabatic_generator("effective_low", ramp, n_max=120)
         assert result.value >= 0
         assert result.diagnostics["min_gap"] > 0
+
+    @pytest.mark.parametrize("sector", ["low", "high"])
+    def test_linear_ramp_matches_full_decompositions(self, sector):
+        # the same adiabatic-frame sum, from eigendecompose's full solve at every step
+        # and scipy's quadrature: guards the ground-block route's level order and gauge
+        family, n_max = f"effective_{sector}", 120
+        ramp = RampSpec(0.0, 0.6, 2.0, steps=201)
+        ts, xs = np.linspace(0.0, ramp.T, ramp.steps), np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
+        energies, elems, prev = [], [], None
+        for x in xs:
+            inst = models.build(ModelSpec.at(family, float(x), n_max=n_max))
+            dec = spectral.eigendecompose(inst.H)
+            parity = 0 if not dec.vectors[1::2, 0].any() else 1
+            columns = np.flatnonzero(~np.any(dec.vectors[1 - parity :: 2], axis=0))
+            vecs = dec.vectors[parity::2][:, columns]
+            if prev is not None:
+                vecs = vecs * np.where(np.sum(prev * vecs, axis=0) < 0.0, -1.0, 1.0)
+            prev = vecs
+            energies.append(dec.eigenvalues[columns])
+            elems.append(vecs.T @ (inst.dH_domega.diagonal[parity::2] * vecs[:, 0]))
+        energies, elems = np.array(energies), np.array(elems)
+        theta = cumulative_trapezoid(energies, ts, axis=0, initial=0.0)
+        integrals = trapezoid(np.exp(1j * (theta[:, :1] - theta[:, 1:])) * elems[:, 1:], ts, axis=0)
+        expected = 4.0 * np.sum(np.abs(integrals) ** 2)
+        value = qfi_adiabatic_generator(family, ramp, n_max=n_max).value
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_banded_hamiltonians_stay_banded(self):
         ramp = RampSpec(0.1, 0.3, 2.0, steps=21, schedule="linear")

@@ -212,9 +212,9 @@ def stray_offset_one():
 
 
 def solve_counting_routes(op):
-    """eigendecompose(op) and how often it called (dense eigh, eigh_tridiagonal)."""
+    """eigendecompose(op) and how often it called (dense eigh, the tridiagonal block solve)."""
     with mock.patch.object(sla, "eigh", wraps=sla.eigh) as dense, mock.patch.object(
-        sla, "eigh_tridiagonal", wraps=sla.eigh_tridiagonal
+        spectral, "_eigh_tridiagonal", wraps=spectral._eigh_tridiagonal
     ) as tridiagonal:
         dec = eigendecompose(op)
     return dec, (dense.call_count, tridiagonal.call_count)
@@ -351,6 +351,21 @@ class TestParityBandedOperator:
         with pytest.raises(TypeError):
             HermitianOperator.parity_banded(np.zeros(5), np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("band", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, band, value):
+        bands = random_bands(7, 4, 0.0)
+        bands[band][2] = value
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            HermitianOperator.parity_banded(*bands)
+
+    def test_non_finite_dense_band_rejected_by_the_solve(self):
+        m = parity_banded(8, 5, 0.0)
+        m[4, 2] = m[2, 4] = np.nan
+        op = HermitianOperator(m)  # the Hermiticity scan lets a NaN through
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            eigendecompose(op)
+
     @pytest.mark.parametrize(
         "spec",
         [ModelSpec.effective("low", x=0.9, n_max=120), ModelSpec(family="lmg", omega=1.0, g=0.9, N=60)],
@@ -436,15 +451,70 @@ class TestGroundState:
 
 
 def tridiagonal_calls():
-    """A spy on scipy's eigh_tridiagonal; each call is recorded as (block size, select, vectors)."""
+    """A spy on the tridiagonal block solve; each call is recorded as (block size, select,
+    vectors), select being "a" for every level or eigh_tridiagonal's index range."""
     calls = []
-    solve = sla.eigh_tridiagonal
+    solve = spectral._eigh_tridiagonal
 
-    def spy(d, e, eigvals_only=False, select="a", select_range=None, **kwargs):
-        calls.append((d.size, select if select == "a" else tuple(select_range), not eigvals_only))
-        return solve(d, e, eigvals_only=eigvals_only, select=select, select_range=select_range, **kwargs)
+    def spy(d, e, count=None, vectors=True):
+        calls.append((d.size, "a" if count is None else (0, min(count, d.size) - 1), vectors))
+        return solve(d, e, count, vectors)
 
-    return mock.patch.object(sla, "eigh_tridiagonal", spy), calls
+    return mock.patch.object(spectral, "_eigh_tridiagonal", spy), calls
+
+
+class TestTridiagonalKernel:
+    """The direct LAPACK calls give scipy's eigh_tridiagonal bits with the explicit driver."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 80),
+        seed=st.integers(0, 10**6),
+        zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        count=st.sampled_from([None, 1, 2, 3, 100]),
+        vectors=st.booleans(),
+    )
+    def test_matches_scipy(self, dim, seed, zero_fraction, count, vectors):
+        rng = np.random.default_rng(seed)
+        d, e = rng.normal(size=dim), rng.normal(size=dim - 1)
+        e[rng.random(dim - 1) < zero_fraction] = 0.0  # split blocks
+        got = spectral._eigh_tridiagonal(d, e, count, vectors)
+        if count is None:
+            ref = sla.eigh_tridiagonal(d, e, eigvals_only=not vectors, lapack_driver="stevd")
+        else:
+            top = min(count, dim) - 1
+            ref = sla.eigh_tridiagonal(
+                d, e, eigvals_only=not vectors, select="i", select_range=(0, top), lapack_driver="stebz"
+            )
+        got, ref = (got, ref) if vectors else ((got,), (ref,))
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_strided_blocks_match(self):
+        diag, band = random_bands(41, 6, 0.3)
+        for parity in (0, 1):
+            d, e = diag[parity::2], band[parity::2]
+            vals, vecs = spectral._block_solve((diag, band), parity)
+            ref_vals, ref_vecs = sla.eigh_tridiagonal(d, e, lapack_driver="stevd")
+            assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    @pytest.mark.parametrize(
+        "driver,result,count,error",
+        [
+            ("_STEVD", (np.zeros(3), np.eye(3), 2), None, np.linalg.LinAlgError),
+            ("_STEVD", (np.zeros(3), np.eye(3), -1), None, ValueError),
+            ("_STEBZ", (1, np.zeros(3), np.ones(3, dtype=np.int32), np.full(3, 3, dtype=np.int32), 1), 1,
+             np.linalg.LinAlgError),
+            ("_STEIN", (np.zeros((3, 1)), 1), 1, np.linalg.LinAlgError),
+            ("_STEIN", (np.zeros((3, 1)), -3), 1, ValueError),
+        ],
+        ids=["stevd_unconverged", "stevd_illegal", "stebz_unconverged", "stein_unconverged", "stein_illegal"],
+    )
+    def test_nonzero_info_raises_scipys_type(self, monkeypatch, driver, result, count, error):
+        monkeypatch.setattr(spectral, driver, lambda *args, **kwargs: result)
+        with pytest.raises(error):
+            spectral._eigh_tridiagonal(np.zeros(3), np.ones(2), count)
 
 
 class TestGroundSector:
