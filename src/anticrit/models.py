@@ -142,21 +142,22 @@ class ModelInstance:
 
 
 def build_rabi_full(spec: ModelSpec) -> ModelInstance:
-    """H = omega n (x) 1 + Omega/2 1 (x) sigma_z + g/2 (a+adag) (x) sigma_x."""
+    """H = omega n (x) 1 + Omega/2 1 (x) sigma_z + g/2 (a+adag) (x) sigma_x, in the parity order.
+
+    Index 2n + p holds |n, s> with s = (n + p) mod 2 (s = 0 is sigma_z = +1).
+    (a+adag) sigma_x takes |n, s> to |n+1, 1-s>, which keeps p, so each
+    parity p is a chain over n (Casanova et al., PRL 105, 263603 (2010)) and
+    H is parity-banded: index 2n + p couples only to 2(n+1) + p.
+    """
     space = fock.FockSpace(spec.n_max)
-    a, adag = fock.annihilation(space)
-    nop = np.diag(np.arange(space.dim, dtype=float))
-    eye_f = np.eye(space.dim)
-    sz = np.diag([1.0, -1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    H = (
-        spec.omega * np.kron(nop, np.eye(2))
-        + spec.Omega / 2.0 * np.kron(eye_f, sz)
-        + spec.g / 2.0 * np.kron(a + adag, sx)
+    n = np.repeat(np.arange(space.dim, dtype=float), 2)
+    sz = 1.0 - 2.0 * ((n + np.arange(n.size)) % 2)  # s = (n + p) mod 2 = (n + index) mod 2
+    # 0.0 + g/2 sqrt(n+1) is the kron sum's 0.0 + 0.0 + g/2 sqrt(n+1): +0.0, not -0.0, at g = 0
+    H = HermitianOperator.parity_banded(
+        spec.omega * n + spec.Omega / 2.0 * sz, 0.0 + spec.g / 2.0 * np.sqrt(n[2:])
     )
-    dH = HermitianOperator.from_diagonal(np.repeat(np.diagonal(nop), 2))  # n (x) 1
-    basis = f"{space.basis_label}*qubit"
-    return ModelInstance(HermitianOperator(H), dH, spec, basis)
+    dH = HermitianOperator.from_diagonal(n)  # n (x) 1
+    return ModelInstance(H, dH, spec, f"{space.basis_label}*qubit/parity")
 
 
 def _tridiagonal_square(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -133,11 +133,6 @@ def qfi_spectral_sum(
     return QfiResult(max(value, 0.0), "spectral_sum", diagnostics)
 
 
-def _aligned_ground(dec: SpectralDecomposition, reference: np.ndarray) -> np.ndarray:
-    """The ground state of `dec`, aligned with `reference` by :func:`_aligned`."""
-    return _aligned(dec.vectors[:, 0], reference)
-
-
 def _aligned(psi: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Rotate psi's global phase so <reference|psi> is real positive."""
     ov = np.vdot(reference, psi)

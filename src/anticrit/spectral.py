@@ -4,12 +4,12 @@ Everything downstream (model building, QFI estimators, sweeps) goes
 through :func:`eigendecompose`, which fixes eigenvector phases so that
 repeated runs on the same machine produce bit-identical output;
 :func:`ground_sector` solves only the block that holds the ground state,
-and :func:`ground_state` only E_0, E_1 and the ground state. A real
-matrix that couples each index only to itself and its neighbours at
-distance 2 is solved as two tridiagonal blocks (even and odd indices);
-any other matrix is split into the connected blocks of its nonzero
-pattern, and each block of more than one index takes one dense LAPACK
-call.
+and :func:`ground_state` only E_0, E_1 and the ground state. A
+parity-banded operator, which couples each index only to itself and its
+neighbours at distance 2, is solved from its bands as two tridiagonal
+blocks (even and odd indices); a dense matrix is split into the connected
+blocks of its nonzero pattern, and each block of more than one index takes
+one dense LAPACK call.
 
 A tridiagonal block goes straight to LAPACK's float64 drivers: ``stevd``
 for every eigenpair, ``stebz`` (then ``stein`` for vectors) for the lowest
@@ -51,16 +51,17 @@ def _freeze(arr) -> np.ndarray:
     return out
 
 
-def _check_finite(diag: np.ndarray, lower: np.ndarray) -> None:
-    """ValueError, with scipy's message, when a band holds a NaN or an infinity."""
-    if not (np.isfinite(diag).all() and np.isfinite(lower).all()):
+def _check_finite(*arrays) -> None:
+    """ValueError, with scipy's message, when an array holds a NaN or an infinity."""
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
 
 
 def _hermiticity_deviation(m: np.ndarray) -> tuple[float, float]:
     """(max |m - m^H|, max |m|) over square tiles, without full-size temporaries.
 
-    Each tile on or above the diagonal is compared with its mirror tile.
+    Each tile on or above the diagonal is compared with its mirror tile. A
+    NaN propagates into both maxima (np.maximum, unlike Python's max, keeps it).
     """
     dev = scale = 0.0
     starts = range(0, m.shape[0], _HERMITICITY_TILE)
@@ -69,18 +70,21 @@ def _hermiticity_deviation(m: np.ndarray) -> tuple[float, float]:
         for j in starts[i // _HERMITICITY_TILE :]:
             cols = slice(j, j + _HERMITICITY_TILE)
             tile, mirror = m[rows, cols], m[cols, rows]
-            dev = max(dev, np.abs(tile - mirror.T.conj()).max())
-            scale = max(scale, np.abs(tile).max(), np.abs(mirror).max() if i != j else 0.0)
-    return dev, scale
+            dev = np.maximum(dev, np.abs(tile - mirror.T.conj()).max())
+            scale = np.maximum(scale, np.abs(tile).max())
+            if i != j:
+                scale = np.maximum(scale, np.abs(mirror).max())
+    return float(dev), float(scale)
 
 
 class HermitianOperator:
     """Immutable Hermitian matrix (energies in units of omega unless stated).
 
-    ``HermitianOperator(m)`` freezes a dense m once it passes the
-    Hermiticity check. ``HermitianOperator.parity_banded(diag, lower)``
-    stores only the two bands of a real symmetric matrix whose nonzeros lie
-    on diagonals 0 and +/-2, which is symmetric by construction, and
+    ``HermitianOperator(m)`` freezes a dense m once its entries are finite
+    and it passes the Hermiticity check.
+    ``HermitianOperator.parity_banded(diag, lower)`` stores only the two
+    bands of a real symmetric matrix whose nonzeros lie on diagonals 0 and
+    +/-2, which is symmetric by construction, and
     ``HermitianOperator.from_diagonal(diag)`` a real diagonal matrix as such
     bands; their ``entries`` are built from the bands on first use, once.
     """
@@ -90,6 +94,7 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionGuard(f"expected a square matrix, got shape {m.shape}")
         dev, scale = _hermiticity_deviation(m)
+        _check_finite(scale)  # max |m| is finite only when every entry is
         if dev > HERMITICITY_RTOL * max(scale, 1e-300):
             raise HermiticityViolation(
                 f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_RTOL:.0e} x {scale:.3e}"
@@ -249,29 +254,13 @@ def _orthonormalize_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _parity_bands(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(diagonal, offset -2 diagonal) of a real m with every nonzero on diagonals 0 and +/-2.
-
-    None for any other matrix. Such an m never couples an even index to an
-    odd one, so its even and odd rows each form a symmetric tridiagonal block.
-    """
-    if np.iscomplexobj(m) or m.shape[0] < 3:
-        return None
-    diag, lower, upper = np.diagonal(m), np.diagonal(m, -2), np.diagonal(m, 2)
-    banded = np.count_nonzero(diag) + np.count_nonzero(lower) + np.count_nonzero(upper)
-    if np.count_nonzero(m) != banded:
-        return None
-    _check_finite(diag, lower)
-    return diag, lower
-
-
 def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
     """Ascending index arrays of the connected blocks of m's nonzero pattern.
 
     The blocks come in the order of their first index.
     """
     # imported here: scipy.sparse and csgraph cost about 4 MB and 50 ms to
-    # import, and the oscillator and LMG Hamiltonians never reach this search
+    # import, and the banded Hamiltonians (oscillators, LMG) never reach this search
     import scipy.sparse as sparse
     from scipy.sparse import csgraph
 
@@ -407,18 +396,16 @@ def _band_product(bands: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.nda
 def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecomposition:
     """Full Hermitian solve with deterministic phase fixing.
 
-    A real H whose nonzeros lie only on diagonals 0 and +/-2 is solved as
-    its even and odd tridiagonal blocks; a parity-banded operator gives its
-    bands, with no dense matrix. Any other H is split into the connected
+    A parity-banded H is solved as its even and odd tridiagonal blocks, from
+    its bands, with no dense matrix. A dense H is split into the connected
     blocks of its nonzero pattern: one dense call for a connected H, else
     one per block of more than one index.
     """
     if H.dim > MAX_DIM:
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
-    bands = H.bands if H.bands is not None else _parity_bands(H.entries)
-    if bands is not None:
+    if H.bands is not None:
         route = "parity-tridiagonal"
-        blocks = [(slice(parity, None, 2), *_block_solve(bands, parity)) for parity in (0, 1)]
+        blocks = [(slice(parity, None, 2), *_block_solve(H.bands, parity)) for parity in (0, 1)]
     else:
         components = _connected_blocks(H.entries)
         route = "dense" if len(components) == 1 else "blocks"
@@ -426,7 +413,7 @@ def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecompositi
     vals, vecs = _merge_blocks(H.dim, H.dtype, blocks)
     if logger.isEnabledFor(logging.DEBUG):
         v0 = vecs[:, 0]
-        image = _band_product(bands, v0) if bands is not None else H.entries @ v0
+        image = _band_product(H.bands, v0) if H.bands is not None else H.entries @ v0
         sizes = "+".join(
             str(values.size) if vectors is not None else f"{values.size}x1"
             for _, values, vectors in blocks

@@ -119,6 +119,51 @@ class TestRabiFull:
         assert errs[2] < 1e-4
 
 
+def kron_rabi(spec):
+    """rabi_full's H in the Fock (x) qubit order, index 2n + s, from three kron products."""
+    dim = spec.n_max + 1
+    q = np.diag(np.sqrt(np.arange(1.0, dim)), 1)  # a; a + adag = q + q.T
+    return (
+        spec.omega * np.kron(np.diag(np.arange(dim, dtype=float)), np.eye(2))
+        + spec.Omega / 2.0 * np.kron(np.eye(dim), np.diag([1.0, -1.0]))
+        + spec.g / 2.0 * np.kron(q + q.T, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    )
+
+
+def parity_position(n_max):
+    """Index in the parity order of each Fock (x) qubit index j = 2n + s: 2n + (n + s) mod 2."""
+    j = np.arange(2 * (n_max + 1))
+    return 2 * (j // 2) + (j // 2 + j % 2) % 2
+
+
+class TestRabiParityBasis:
+    @pytest.mark.parametrize("n_max", [8, 30, 300])
+    @pytest.mark.parametrize("g", [0.0, -0.0, 0.7, -3.0, 12.5])
+    @pytest.mark.parametrize("omega,Omega", [(1.0, 2.0), (3.0, 7.0), (0.37, 370.0)])
+    def test_kron_build_permuted(self, n_max, g, omega, Omega):
+        spec = ModelSpec(family="rabi_full", omega=omega, g=g, Omega=Omega, n_max=n_max)
+        inst = build(spec)
+        assert inst.H.bands is not None
+        permuted = np.empty_like(inst.H.entries)
+        position = parity_position(n_max)
+        permuted[np.ix_(position, position)] = kron_rabi(spec)
+        assert permuted.tobytes() == inst.H.entries.tobytes()  # -0.0 differs from +0.0 here
+        assert np.array_equal(inst.dH_domega.diagonal, np.repeat(np.arange(n_max + 1.0), 2))
+
+    def test_truncation_weight_counts_photon_number(self):
+        spec = ModelSpec.rabi(1.0, 50.0, 0.3, n_max=12)
+        inst = build(spec)
+        amps = np.random.default_rng(3).normal(size=inst.H.dim)
+        amps /= np.linalg.norm(amps)
+        kron_order = amps[parity_position(spec.n_max)].reshape(spec.n_max + 1, 2)
+        expected = np.sum(kron_order[-2:] ** 2)
+        assert models.truncation_weight(inst, amps) == pytest.approx(expected, rel=1e-15)
+
+    def test_basis_label_names_the_order(self):
+        inst = build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=12))
+        assert inst.basis != "fock(12)*qubit" and "parity" in inst.basis
+
+
 class TestEffective:
     def test_free_oscillator(self):
         spec = ModelSpec.effective("low", x=0.0, n_max=60)

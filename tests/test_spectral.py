@@ -72,6 +72,16 @@ class TestEigendecompose:
         m[row, col] -= 1e-9 - 1e-14  # within the 1e-12 relative tolerance
         HermitianOperator(m)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        # Python's max over the tile maxima dropped a NaN, so both matrices passed
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            HermitianOperator(np.array([[1.0, value], [5.0, 1.0]]))
+        m = random_hermitian(200, 4).entries.copy()
+        m[190, 3] = value  # in the far off-diagonal tile of the check
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            HermitianOperator(m)
+
     def test_hermiticity_scale_is_max_entry(self):
         m = random_hermitian(300, 7).entries.copy()
         m[270, 5] = m[5, 270] = 40.0  # largest entry, in an off-diagonal tile
@@ -242,7 +252,8 @@ class TestParityTridiagonalRoute:
         zero_fraction=st.sampled_from([0.0, 0.3]),
     )
     def test_matches_dense(self, dim, seed, zero_fraction):
-        op = HermitianOperator(parity_banded(dim, seed, zero_fraction))
+        m = parity_banded(dim, seed, zero_fraction)
+        op = HermitianOperator.parity_banded(np.diagonal(m), np.diagonal(m, -2))
         dec, routes = solve_counting_routes(op)
         assert routes == (0, 2)  # one tridiagonal solve per parity block
         tol = assert_valid_decomposition(op, dec)
@@ -255,8 +266,9 @@ class TestParityTridiagonalRoute:
             lambda: build(ModelSpec.effective("low", x=0.9, n_max=120)).H,
             lambda: build(ModelSpec.effective("high", x=8.0, n_max=120)).H,
             lambda: build(ModelSpec(family="lmg", omega=1.0, g=0.9, N=60)).H,
+            lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H,
         ],
-        ids=["effective_low", "effective_high", "lmg"],
+        ids=["effective_low", "effective_high", "lmg", "rabi_full"],
     )
     def test_model_families_take_it(self, make):
         op = make()
@@ -267,7 +279,7 @@ class TestParityTridiagonalRoute:
     def test_diagonal_degenerate(self):
         op = build(ModelSpec(family="tfim", omega=1.0, g=0.0, N=6)).H
         dec, routes = solve_counting_routes(op)
-        assert routes == (0, 2)
+        assert routes == (0, 0)  # every index is its own block: no solve
         assert np.any(np.diff(dec.eigenvalues) < 1e-9)  # clusters are present
         assert_valid_decomposition(op, dec)
         assert np.array_equal(dec.eigenvalues, np.sort(np.diag(op.entries)))
@@ -276,14 +288,13 @@ class TestParityTridiagonalRoute:
         "make,routes",
         [
             (stray_offset_one, (1, 0)),
-            # a complex banded matrix is not tridiagonal-solved, but its even
-            # and odd indices still form two blocks; so do rabi_full's two
-            # parities of excitation number
+            # a dense banded matrix, real or complex, is not tridiagonal-solved,
+            # but its even and odd indices still form two blocks
+            (lambda: HermitianOperator(parity_banded(12, 3, 0.0)), (2, 0)),
             (lambda: HermitianOperator(parity_banded(12, 3, 0.0).astype(complex)), (2, 0)),
-            (lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H, (2, 0)),
             (lambda: random_hermitian(12, 8), (1, 0)),
         ],
-        ids=["stray_offset_one", "complex", "rabi_full", "connected_complex"],
+        ids=["stray_offset_one", "dense_banded", "complex", "connected_complex"],
     )
     def test_other_matrices_stay_dense(self, make, routes):
         op = make()
@@ -362,14 +373,17 @@ class TestParityBandedOperator:
     def test_non_finite_dense_band_rejected_by_the_solve(self):
         m = parity_banded(8, 5, 0.0)
         m[4, 2] = m[2, 4] = np.nan
-        op = HermitianOperator(m)  # the Hermiticity scan lets a NaN through
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-            eigendecompose(op)
+            eigendecompose(HermitianOperator(m))
 
     @pytest.mark.parametrize(
         "spec",
-        [ModelSpec.effective("low", x=0.9, n_max=120), ModelSpec(family="lmg", omega=1.0, g=0.9, N=60)],
-        ids=["effective_low", "lmg"],
+        [
+            ModelSpec.effective("low", x=0.9, n_max=120),
+            ModelSpec(family="lmg", omega=1.0, g=0.9, N=60),
+            ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30),
+        ],
+        ids=["effective_low", "lmg", "rabi_full"],
     )
     def test_solves_never_build_the_dense_matrix(self, spec, caplog):
         op = build(spec).H
@@ -423,10 +437,9 @@ class TestGroundState:
         "make",
         [
             lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=6)).H,
-            lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H,
             lambda: HermitianOperator(parity_banded(12, 3, 0.0)),  # banded, but held dense
         ],
-        ids=["tfim", "rabi_full", "dense_banded"],
+        ids=["tfim", "dense_banded"],
     )
     def test_other_operators_take_the_full_solve(self, make, caplog):
         op = make()
@@ -558,7 +571,8 @@ class TestGroundSector:
     @pytest.mark.parametrize("spec", [
         ModelSpec.effective("high", x=4.0, n_max=40),
         ModelSpec(family="lmg", omega=1.0, g=0.7, N=40),
-    ], ids=["effective_high", "lmg"])
+        ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30),
+    ], ids=["effective_high", "lmg", "rabi_full"])
     def test_one_vector_solve_on_model_hamiltonians(self, spec):
         op = build(spec).H
         patch, calls = tridiagonal_calls()
@@ -572,12 +586,7 @@ class TestGroundSector:
         assert np.abs(sector.levels[:3] - dec.eigenvalues[:3]).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=4)).H,
-            lambda: build(ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30)).H,
-        ],
-        ids=["tfim", "rabi_full"],
+        "make", [lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=4)).H], ids=["tfim"]
     )
     def test_other_operators_are_one_block(self, make):
         op = make()
