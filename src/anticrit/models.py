@@ -44,6 +44,16 @@ DEFAULT_OMEGA_RATIO = 1000.0  # Omega/omega of a bosonic spec built without Omeg
 DEFAULT_N = {"lmg": 200, "tfim": 10, "tfim_transverse": 10}  # spin count of a spec built without N
 
 
+def _family_defaults(family: str, omega: float, Omega, N, n_max) -> tuple:
+    """(Omega, N, n_max), each left at None replaced by the family's default."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family in BOSONIC_FAMILIES:
+        Omega = DEFAULT_OMEGA_RATIO * omega if Omega is None else Omega
+        return Omega, N, fock.DEFAULT_N_MAX if n_max is None else n_max
+    return Omega, DEFAULT_N[family] if N is None else N, n_max
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One point of a model family; x = g^2/g_c^2 is always derived.
@@ -59,23 +69,18 @@ class ModelSpec:
     n_max: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        defaults = _family_defaults(self.family, self.omega, self.Omega, self.N, self.n_max)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
+        for name, value in zip(("Omega", "N", "n_max"), defaults):
+            object.__setattr__(self, name, value)
         if self.family in BOSONIC_FAMILIES:
-            if self.Omega is None:
-                object.__setattr__(self, "Omega", DEFAULT_OMEGA_RATIO * self.omega)
             if self.Omega <= 0:
                 raise ValueError(f"{self.family} needs Omega > 0")
-            if self.n_max is None:
-                object.__setattr__(self, "n_max", fock.DEFAULT_N_MAX)
             if self.family == "effective_low" and self.x >= 1.0 - CRITICAL_MARGIN:
                 raise CriticalPointGuard(
                     f"effective_low requires g^2/(omega*Omega) < 1 - {CRITICAL_MARGIN}, got x={self.x}"
                 )
-        elif self.N is None:
-            object.__setattr__(self, "N", DEFAULT_N[self.family])
 
     @property
     def g_c(self) -> float:
@@ -110,12 +115,14 @@ class ModelSpec:
         """
         if x < 0:
             raise ValueError(f"x must be >= 0, got {x}")
-        free = cls(family=family, omega=omega, **fields)  # defaults filled, no guard at g = 0
+        Omega, N, n_max = _family_defaults(
+            family, omega, fields.pop("Omega", None), fields.pop("N", None), fields.pop("n_max", None)
+        )
         if family in BOSONIC_FAMILIES:
-            g = math.sqrt(x * omega * free.Omega)
+            g = math.sqrt(max(x * omega * Omega, 0.0))  # the constructor refuses omega or Omega <= 0
         else:
             g = math.sqrt(x) * omega
-        return cls(family, omega, g, free.Omega, free.N, free.n_max)
+        return cls(family, omega, g, Omega, N, n_max, **fields)
 
     @classmethod
     def effective(
@@ -211,28 +218,44 @@ def build_lmg(spec: ModelSpec) -> ModelInstance:
 
 
 @lru_cache(maxsize=8)
-def _chain_terms(N: int) -> tuple[HermitianOperator, np.ndarray, list[np.ndarray]]:
-    """(sum sigma_z = d_omega H, diagonal of sum sigma_z sigma_z, bond flips), periodic bonds.
+def _chain_terms(N: int) -> tuple[HermitianOperator, np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(sum sigma_z = d_omega H, diagonal of sum sigma_z sigma_z, the ascending rows of each
+    parity block of prod sigma_z, each block's bond flips), periodic bonds.
 
-    sigma_x sigma_x on a bond maps state s to bond_flips[k][s].
+    The even block (an even number of up spins, state 0 among them) comes
+    first. sigma_x sigma_x on bond k, which keeps the parity, maps the
+    block's j-th state to its flips[k, j]-th.
     """
     states, signs = spin.chain_bits(spin.ChainBasis(N))
     bonds = [(i, (i + 1) % N) for i in range(N)]  # periodic boundary
     zz_diag = sum(signs[:, i] * signs[:, j] for i, j in bonds)
-    bond_flips = [states ^ ((1 << i) | (1 << j)) for i, j in bonds]
-    return HermitianOperator.from_diagonal(signs.sum(axis=1)), zz_diag, bond_flips
+    odd = np.count_nonzero(signs > 0, axis=1) % 2
+    rows = tuple(np.flatnonzero(odd == parity) for parity in (0, 1))
+    position = np.empty_like(states)
+    for r in rows:
+        position[r] = np.arange(r.size)
+    flips = tuple(position[r ^ np.array([[(1 << i) | (1 << j)] for i, j in bonds])] for r in rows)
+    return HermitianOperator.from_diagonal(signs.sum(axis=1)), zz_diag, rows, flips
+
+
+def _chain_block(diag: np.ndarray, g: float, flips: np.ndarray) -> np.ndarray:
+    """One parity block: its diagonal `diag`, and -g from each state to each of its bond flips."""
+    block = np.zeros((diag.size, diag.size))
+    np.fill_diagonal(block, diag)
+    block[flips, np.arange(diag.size)] = 0.0 - g  # -g, and +0.0 rather than -0.0 at g = 0
+    return block
 
 
 def _chain_hamiltonian(spec: ModelSpec, transverse: bool) -> ModelInstance:
-    basis = spin.ChainBasis(spec.N)
-    z_sum, zz_diag, bond_flips = _chain_terms(spec.N)
-    H = np.zeros((basis.dim, basis.dim))
+    """H from the bit table as its two parity blocks, with no 2^N x 2^N matrix."""
+    z_sum, zz_diag, rows, flips = _chain_terms(spec.N)
     diag = spec.omega * z_sum.diagonal
-    np.fill_diagonal(H, diag + spec.g * zz_diag if transverse else diag)
-    states = np.arange(basis.dim)
-    for flips in bond_flips:
-        H[flips, states] = 0.0 - spec.g  # -g, and +0.0 rather than -0.0 at g = 0
-    return ModelInstance(HermitianOperator(H), z_sum, spec, basis.basis_label)
+    if transverse:
+        diag = diag + spec.g * zz_diag
+    # one block at a time: each is checked and copied before the next is written
+    blocks = (_chain_block(diag[r], spec.g, f) for r, f in zip(rows, flips))
+    H = HermitianOperator.block_diagonal(rows, blocks)
+    return ModelInstance(H, z_sum, spec, spin.ChainBasis(spec.N).basis_label)
 
 
 def build_tfim(spec: ModelSpec) -> ModelInstance:

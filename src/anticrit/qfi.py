@@ -148,13 +148,6 @@ def _fd_value(psi0: np.ndarray, plus: np.ndarray, minus: np.ndarray, d: float) -
     )
 
 
-def _block_parity(psi: np.ndarray) -> int | None:
-    """0 or 1 when psi vanishes on every odd or every even index; None when it has both."""
-    if not psi[1::2].any():
-        return 0
-    return 1 if not psi[0::2].any() else None
-
-
 def qfi_state_fd(
     spec: ModelSpec,
     d_omega: float | None = None,
@@ -168,11 +161,13 @@ def qfi_state_fd(
     of solving the centre point again.
 
     A shift of omega by d moves every level by at most |d| ||d_omega H||,
-    with ||d_omega H|| = max |diag| (Weyl's inequality). So when the centre's
-    gap exceeds 2 |d| ||d_omega H|| + DEGENERACY_TOL on a parity-banded H,
-    each shifted ground state stays in psi_0's parity block with a gap above
-    the tolerance, and each point solves that block's lowest eigenpair only.
-    Otherwise each point solves E_0, E_1 and psi_0 over both blocks.
+    with ||d_omega H|| = max |diag| (Weyl's inequality), and keeps H's
+    blocks, since d_omega H is diagonal. So when the centre's gap exceeds
+    2 |d| ||d_omega H|| + DEGENERACY_TOL, each shifted ground state stays in
+    psi_0's block with a gap above the tolerance, and each point solves that
+    block's lowest eigenpair only. Otherwise, or when the centre is a full
+    decomposition (which names no block), each point solves E_0, E_1 and
+    psi_0 over every block.
     """
     if d_omega is None:
         d_omega = FD_STEP_FRACTION * spec.omega
@@ -187,16 +182,15 @@ def qfi_state_fd(
     gap0 = _nondegenerate_gap(energy_gap(sector))
     psi0 = sector.psi0
     margin = gap0 - 2.0 * abs(d_omega) * float(np.abs(inst.dH_domega.diagonal).max())
-    parity = _block_parity(psi0) if inst.H.bands is not None and margin > DEGENERACY_TOL else None
+    block = sector.block if margin > DEGENERACY_TOL else None
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "qfi_state_fd certified=%s parity=%s weyl_margin=%.3e",
-            parity is not None, parity, margin,
+        logger.debug(  # block k is parity k in every model family
+            "qfi_state_fd certified=%s parity=%s weyl_margin=%.3e", block is not None, block, margin
         )
 
     def ground_at(omega: float, reference: np.ndarray) -> np.ndarray:
         shifted = models.build(spec.with_omega(omega))
-        e0, e1, psi = ground_state(shifted.H, parity)  # E_1 = inf when certified
+        e0, e1, psi = ground_state(shifted.H, block)  # E_1 = inf when certified
         check_norm(psi)
         models.enforce_truncation_bound(shifted, psi)
         _nondegenerate_gap(e1 - e0)
@@ -285,7 +279,7 @@ def qfi_adiabatic_generator(
     ts = np.linspace(0.0, ramp.T, ramp.steps)
     xs = np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
 
-    rows = dim = None
+    block = rows = dim = None
     energies = None
     elems = None
     min_gap = math.inf
@@ -301,14 +295,14 @@ def qfi_adiabatic_generator(
         if inst.H.dtype.kind == "c":
             raise ValueError("ramp requires a real-symmetric Hamiltonian family")
         if dim is None:
-            rows, dim = sector.rows, inst.H.dim
+            block, rows, dim = sector.block, sector.rows, inst.H.dim
             energies = np.empty((ramp.steps, sector.energies.size))
             elems = np.empty((ramp.steps, sector.energies.size))
         elif inst.H.dim != dim:
             raise ConvergenceGuard(
                 "truncation level changed along the ramp; fix n_max explicitly"
             )
-        elif sector.rows != rows:
+        elif sector.block != block:
             raise GapGuard("the ground state changes parity along the ramp: its level crosses another")
         vecs = sector.vectors
         if prev_vecs is not None:

@@ -4,18 +4,19 @@ Everything downstream (model building, QFI estimators, sweeps) goes
 through :func:`eigendecompose`, which fixes eigenvector phases so that
 repeated runs on the same machine produce bit-identical output;
 :func:`ground_sector` solves only the block that holds the ground state,
-and :func:`ground_state` only E_0, E_1 and the ground state. A
+and :func:`ground_state` only E_0, E_1 and the ground state. Every
+operator says which blocks it has, and every solve goes block by block: a
 parity-banded operator, which couples each index only to itself and its
-neighbours at distance 2, is solved from its bands as two tridiagonal
-blocks (even and odd indices); a dense matrix is split into the connected
-blocks of its nonzero pattern, and each block of more than one index takes
-one dense LAPACK call.
+neighbours at distance 2, has two tridiagonal blocks (even and odd
+indices); an operator built with :meth:`HermitianOperator.block_diagonal`
+has the dense blocks it was built from; any other dense matrix is one block.
 
 A tridiagonal block goes straight to LAPACK's float64 drivers: ``stevd``
 for every eigenpair, ``stebz`` (then ``stein`` for vectors) for the lowest
 few. These are the calls ``scipy.linalg.eigh_tridiagonal`` makes with its
 default driver, bit for bit, without its per-call input checks: a banded
-operator's bands are checked finite once, when it is built.
+operator's bands are checked finite once, when it is built. A dense block
+takes ``evd`` for every eigenpair and ``evr`` for the lowest few.
 """
 
 from __future__ import annotations
@@ -77,30 +78,39 @@ def _hermiticity_deviation(m: np.ndarray) -> tuple[float, float]:
     return float(dev), float(scale)
 
 
+def _checked(entries) -> np.ndarray:
+    """`entries` frozen, once they form a square matrix that is finite and Hermitian."""
+    m = _freeze(entries)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise DimensionGuard(f"expected a square matrix, got shape {m.shape}")
+    dev, scale = _hermiticity_deviation(m)
+    _check_finite(scale)  # max |m| is finite only when every entry is
+    if dev > HERMITICITY_RTOL * max(scale, 1e-300):
+        raise HermiticityViolation(
+            f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_RTOL:.0e} x {scale:.3e}"
+        )
+    return m
+
+
 class HermitianOperator:
     """Immutable Hermitian matrix (energies in units of omega unless stated).
 
     ``HermitianOperator(m)`` freezes a dense m once its entries are finite
-    and it passes the Hermiticity check.
-    ``HermitianOperator.parity_banded(diag, lower)`` stores only the two
-    bands of a real symmetric matrix whose nonzeros lie on diagonals 0 and
-    +/-2, which is symmetric by construction, and
-    ``HermitianOperator.from_diagonal(diag)`` a real diagonal matrix as such
-    bands; their ``entries`` are built from the bands on first use, once.
+    and it passes the Hermiticity check. ``parity_banded(diag, lower)``
+    stores only the two bands of a real symmetric matrix whose nonzeros lie
+    on diagonals 0 and +/-2, and ``from_diagonal(diag)`` a diagonal matrix as
+    such bands; ``block_diagonal(rows, blocks)`` stores only the dense blocks
+    of a matrix that couples no two of its sets of rows. Their ``entries``
+    are built on first use, once.
     """
 
     def __init__(self, entries):
-        m = _freeze(entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise DimensionGuard(f"expected a square matrix, got shape {m.shape}")
-        dev, scale = _hermiticity_deviation(m)
-        _check_finite(scale)  # max |m| is finite only when every entry is
-        if dev > HERMITICITY_RTOL * max(scale, 1e-300):
-            raise HermiticityViolation(
-                f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_RTOL:.0e} x {scale:.3e}"
-            )
-        object.__setattr__(self, "_entries", m)
-        object.__setattr__(self, "bands", None)
+        m = _checked(entries)
+        self._hold(m, None, None, m.shape[0], m.dtype)
+
+    def _hold(self, entries, bands, blocks, dim: int, dtype: np.dtype) -> HermitianOperator:
+        self.__dict__.update(_entries=entries, bands=bands, blocks=blocks, dim=dim, dtype=dtype)
+        return self
 
     @classmethod
     def parity_banded(cls, diag, lower) -> HermitianOperator:
@@ -113,15 +123,31 @@ class HermitianOperator:
                 f"bands of shapes {diag.shape} and {lower.shape} are not (n,) and (n - 2,), n >= 3"
             )
         _check_finite(diag, lower)
-        op = cls.__new__(cls)
-        object.__setattr__(op, "_entries", None)
-        object.__setattr__(op, "bands", (diag, lower))
-        return op
+        return cls.__new__(cls)._hold(None, (diag, lower), None, diag.size, diag.dtype)
 
     @classmethod
     def from_diagonal(cls, diag) -> HermitianOperator:
         """The real diagonal matrix with diagonal `diag` (at least 3 entries), held as its bands."""
         return cls.parity_banded(diag, np.zeros(max(np.size(diag) - 2, 0)))
+
+    @classmethod
+    def block_diagonal(cls, rows, blocks) -> HermitianOperator:
+        """The matrix whose entries on rows[k] x rows[k] are blocks[k] and are zero elsewhere.
+
+        The rows must partition 0..n-1; each block is checked as
+        ``HermitianOperator(block)`` is.
+        """
+        rows, blocks = [np.array(r, dtype=np.intp) for r in rows], [_checked(b) for b in blocks]
+        if [r.shape for r in rows] != [m.shape[:1] for m in blocks]:
+            raise DimensionGuard(f"blocks of shapes {[m.shape for m in blocks]} on {[r.size for r in rows]} rows")
+        for r in rows:
+            r.setflags(write=False)
+        dim = sum(r.size for r in rows)
+        every = np.concatenate(rows) if rows else rows
+        if dim < 1 or every.min() < 0 or np.any(np.bincount(every, minlength=dim) != 1):
+            raise DimensionGuard(f"block rows do not partition 0..{dim - 1}")
+        dtype = np.result_type(*(m.dtype for m in blocks))
+        return cls.__new__(cls)._hold(None, None, tuple(zip(rows, blocks)), dim, dtype)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HermitianOperator is immutable; cannot set {name!r}")
@@ -130,26 +156,23 @@ class HermitianOperator:
     def entries(self) -> np.ndarray:
         """The dense read-only matrix."""
         if self._entries is None:
-            diag, lower = self.bands
-            m = np.diag(diag)
-            i = np.arange(lower.size)
-            m[i + 2, i] = m[i, i + 2] = lower
+            if self.bands is not None:
+                diag, lower = self.bands
+                m = np.diag(diag)
+                i = np.arange(lower.size)
+                m[i + 2, i] = m[i, i + 2] = lower
+            else:
+                m = np.zeros((self.dim, self.dim), dtype=self.dtype)
+                for rows, block in self.blocks:
+                    m[np.ix_(rows, rows)] = block
             m.setflags(write=False)
             object.__setattr__(self, "_entries", m)
         return self._entries
 
     @property
     def diagonal(self) -> np.ndarray:
-        """The main diagonal, read-only, with no dense matrix built."""
-        return self.bands[0] if self.bands is not None else np.diagonal(self._entries)
-
-    @property
-    def dim(self) -> int:
-        return self.bands[0].size if self.bands is not None else self._entries.shape[0]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.bands[0].dtype if self.bands is not None else self._entries.dtype
+        """The main diagonal, read-only; a banded operator's comes from its bands."""
+        return self.bands[0] if self.bands is not None else np.diagonal(self.entries)
 
 
 def check_norm(amplitudes: np.ndarray) -> None:
@@ -204,13 +227,15 @@ class GroundSector:
 
     `levels` holds every level of the block and the two lowest of the rest,
     ascending: at most two of H's three lowest levels lie outside the block,
-    so ``levels[:3]`` are E_0, E_1 and E_2. A full decomposition is the one
-    block over all rows (:meth:`whole`). The arrays are read-only.
+    so ``levels[:3]`` are E_0, E_1 and E_2. `block` indexes H's blocks (parity
+    0 or 1 in every model family); a full decomposition is one block over all
+    rows, with no index (:meth:`whole`). The arrays are read-only.
     """
 
     energies: np.ndarray  # the block's ascending eigenvalues
     vectors: np.ndarray  # its phase-fixed eigenvectors as columns, over `rows`
-    rows: slice  # the block's indices in H's order
+    rows: slice | np.ndarray  # the block's indices in H's order
+    block: int | None
     levels: np.ndarray
     psi0: np.ndarray  # the ground state over all of H's indices
     basis: str = ""
@@ -218,7 +243,7 @@ class GroundSector:
     @classmethod
     def whole(cls, dec: SpectralDecomposition) -> GroundSector:
         """A full decomposition as the one block: its own arrays, no copy."""
-        return cls(dec.eigenvalues, dec.vectors, slice(None), dec.eigenvalues, dec.vectors[:, 0], dec.basis)
+        return cls(dec.eigenvalues, dec.vectors, slice(None), None, dec.eigenvalues, dec.vectors[:, 0], dec.basis)
 
     @property
     def state(self) -> QuantumState:
@@ -252,28 +277,6 @@ def _orthonormalize_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         q = np.linalg.qr(vecs[:, columns].transpose(1, 0, 2))[0]  # (runs, dim, size)
         vecs[:, columns] = q.transpose(1, 0, 2)
     return vecs
-
-
-def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
-    """Ascending index arrays of the connected blocks of m's nonzero pattern.
-
-    The blocks come in the order of their first index.
-    """
-    # imported here: scipy.sparse and csgraph cost about 4 MB and 50 ms to
-    # import, and the banded Hamiltonians (oscillators, LMG) never reach this search
-    import scipy.sparse as sparse
-    from scipy.sparse import csgraph
-
-    n = m.shape[0]
-    flat = np.flatnonzero(m != 0)  # row-major, so each row's entries start at a search
-    row_starts = np.searchsorted(flat, np.arange(0, n * n + 1, n))
-    pattern = sparse.csr_array((np.ones(flat.size, dtype=bool), flat % n, row_starts), shape=m.shape)
-    count, labels = csgraph.connected_components(pattern, directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-
-
-Block = tuple[slice | np.ndarray, np.ndarray, np.ndarray | None]  # rows, ascending values, vectors
 
 
 def _lapack_info(info: int, driver: str, failure: str = "did not converge (LAPACK info={})") -> None:
@@ -313,190 +316,169 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, count: int | None = None, ve
     return w[order], v[:, order]
 
 
-def _block_solve(
-    bands: tuple[np.ndarray, np.ndarray], parity: int, count: int | None = None, vectors: bool = True
-):
-    """Eigenvalues of the even (parity 0) or odd tridiagonal block, with their vectors if
+def _blocks(H: HermitianOperator) -> tuple[tuple, int]:
+    """(H's blocks as (rows, block), the index of the block holding H's smallest diagonal entry).
+
+    A banded H has its even and odd tridiagonal blocks as their (diagonal,
+    off-diagonal), a block operator its dense blocks, and a dense H is one block.
+    """
+    if H.dim > MAX_DIM:
+        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
+    if H.bands is not None:
+        diag, lower = H.bands
+        blocks = (slice(0, None, 2), (diag[0::2], lower[0::2])), (slice(1, None, 2), (diag[1::2], lower[1::2]))
+        return blocks, int(diag.argmin()) % 2
+    if H.blocks is None:
+        return ((slice(None), H.entries),), 0
+    minima = [np.diagonal(block).real.min() for _, block in H.blocks]
+    return H.blocks, minima.index(min(minima))
+
+
+def _solve_block(block: tuple | np.ndarray, count: int | None = None, vectors: bool = True):
+    """Ascending eigenvalues of a tridiagonal (d, e) or dense block, with their vectors if
     asked for: every one, or the lowest `count` (fewer if the block is smaller)."""
-    return _eigh_tridiagonal(bands[0][parity::2], bands[1][parity::2], count, vectors)
+    if isinstance(block, tuple):
+        return _eigh_tridiagonal(*block, count, vectors)
+    subset = None if count is None else (0, min(count, len(block)) - 1)
+    driver = "evd" if subset is None else "evr"
+    return sla.eigh(block, eigvals_only=not vectors, subset_by_index=subset, driver=driver, check_finite=False)
 
 
-def _solve_ground_block(bands: tuple[np.ndarray, np.ndarray], count: int | None, other_count: int):
-    """(parity, values, vectors, other levels): the lowest `count` eigenpairs (every one for
-    None) of the parity block that holds the ground state, and the other block's lowest
-    `other_count` levels.
-
-    The block tried first holds the smallest diagonal entry; should the other
-    block's lowest level lie lower, that block is solved instead.
+def _solve_ground_block(blocks, index: int, count: int | None, other_count: int):
+    """(index, values, vectors, other levels): the lowest `count` eigenpairs (every one for
+    None) of the block that holds the ground state, and the lowest `other_count` levels of
+    the other blocks together. Block `index` is tried first; should another block's lowest
+    level lie lower, the lowest such block is solved instead.
     """
-    parity = int(bands[0].argmin()) % 2
-    vals, vecs = _block_solve(bands, parity, count)
-    other = _block_solve(bands, 1 - parity, other_count, vectors=False)
-    if other[0] < vals[0]:
-        parity, other = 1 - parity, vals[:other_count]
-        vals, vecs = _block_solve(bands, parity, count)
-    return parity, vals, vecs, other
-
-
-def _pattern_blocks(m: np.ndarray, components: list[np.ndarray]) -> list[Block]:
-    """One dense solve per block of more than one index; a connected m is solved in place.
-
-    The single indices form one last block whose eigenvectors (vectors None)
-    are unit vectors.
-    """
-    blocks: list[Block] = [
-        (rows, *sla.eigh(m if rows.size == m.shape[0] else m[np.ix_(rows, rows)], driver="evd"))
-        for rows in components
-        if rows.size > 1
+    vals, vecs = _solve_block(blocks[index][1], count)
+    lowest = [
+        vals[:other_count] if k == index else _solve_block(block, other_count, vectors=False)
+        for k, (_, block) in enumerate(blocks)
     ]
-    singles = [rows for rows in components if rows.size == 1]
-    if singles:
-        rows = np.concatenate(singles)
-        blocks.append((rows, np.diagonal(m)[rows].real, None))
-    return blocks
+    bottoms = [levels[0] for levels in lowest]
+    lower = bottoms.index(min(bottoms))
+    if bottoms[lower] < vals[0]:
+        index = lower
+        vals, vecs = _solve_block(blocks[index][1], count)
+    del lowest[index]
+    if len(lowest) == 1:  # already ascending, and no longer than other_count
+        return index, vals, vecs, lowest[0]
+    return index, vals, vecs, np.sort(np.concatenate([vals[:0], *lowest]))[:other_count]
 
 
-def _merge_blocks(dim: int, dtype, blocks: list[Block]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a block-diagonal matrix from those of its blocks.
-
-    Each block's clusters and phases are fixed on its own vectors; its columns
-    are then scattered to full size in the merged order, ties kept in block
-    order. A single block that spans the matrix needs no scatter.
+def _merge_blocks(dim: int, dtype, solved) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a block-diagonal matrix from the (rows, values, vectors) of its
+    blocks: each block's clusters and phases are fixed on its own vectors, and its columns
+    scattered to full size in the merged order, ties kept in block order.
     """
-    if len(blocks) == 1 and blocks[0][2] is not None:
-        _, vals, vecs = blocks[0]
-        return vals, _fix_phases(_orthonormalize_clusters(vals, vecs))
-    vals = np.concatenate([values for _, values, _ in blocks])
+    vals = np.concatenate([values for _, values, _ in solved])
     order = np.argsort(vals, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)  # merged position of each block eigenpair
     vecs = np.zeros((dim, dim), dtype=dtype, order="F")  # column-major, as LAPACK returns
     start = 0
-    for rows, values, vectors in blocks:
+    for rows, values, vectors in solved:
         cols = column[start : start + values.size]
         start += values.size
-        if vectors is None:
-            vecs[rows, cols] = 1.0
-            continue
         if not isinstance(rows, slice):  # a slice of rows scatters several times faster
             rows = rows[:, np.newaxis]
         vecs[rows, cols] = _fix_phases(_orthonormalize_clusters(values, vectors))
     return vals[order], vecs
 
 
-def _band_product(bands: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-    """H v for the parity-banded H with these (diagonal, offset -2) bands."""
-    diag, lower = bands
-    out = diag * v
-    out[2:] += lower * v[:-2]
-    out[:-2] += lower * v[2:]
+def _apply(A: HermitianOperator, v: np.ndarray) -> np.ndarray:
+    """A v, from A's bands or blocks when it has them."""
+    if A.bands is not None:
+        diag, lower = A.bands
+        out = diag * v
+        out[2:] += lower * v[:-2]
+        out[:-2] += lower * v[2:]
+        return out
+    if A.blocks is None:
+        return A.entries @ v
+    out = np.zeros(v.size, dtype=np.result_type(A.dtype, v))
+    for rows, block in A.blocks:
+        out[rows] = block @ v[rows]
     return out
+
+
+def _route(H: HermitianOperator, blocks) -> str:
+    """The DEBUG label of H's route and block sizes, as in "parity-tridiagonal blocks=6+5"."""
+    kind = "parity-tridiagonal" if H.bands is not None else "dense" if H.blocks is None else "blocks"
+    return f"{kind} blocks=" + "+".join(str(len(b[0]) if isinstance(b, tuple) else len(b)) for _, b in blocks)
 
 
 def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecomposition:
     """Full Hermitian solve with deterministic phase fixing.
 
-    A parity-banded H is solved as its even and odd tridiagonal blocks, from
-    its bands, with no dense matrix. A dense H is split into the connected
-    blocks of its nonzero pattern: one dense call for a connected H, else
-    one per block of more than one index.
+    Each block of H takes one call, ``stevd`` for a tridiagonal block and
+    ``evd`` for a dense one, and their eigenpairs are merged in ascending order.
     """
-    if H.dim > MAX_DIM:
-        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
-    if H.bands is not None:
-        route = "parity-tridiagonal"
-        blocks = [(slice(parity, None, 2), *_block_solve(H.bands, parity)) for parity in (0, 1)]
-    else:
-        components = _connected_blocks(H.entries)
-        route = "dense" if len(components) == 1 else "blocks"
-        blocks = _pattern_blocks(H.entries, components)
-    vals, vecs = _merge_blocks(H.dim, H.dtype, blocks)
+    blocks = _blocks(H)[0]
+    vals, vecs = _merge_blocks(H.dim, H.dtype, [(rows, *_solve_block(block)) for rows, block in blocks])
     if logger.isEnabledFor(logging.DEBUG):
         v0 = vecs[:, 0]
-        image = _band_product(H.bands, v0) if H.bands is not None else H.entries @ v0
-        sizes = "+".join(
-            str(values.size) if vectors is not None else f"{values.size}x1"
-            for _, values, vectors in blocks
-        )
         logger.debug(
-            "eigendecompose dim=%d route=%s blocks=%s ground residual=%.3e",
-            H.dim, route, sizes, np.linalg.norm(image - vals[0] * v0),
+            "eigendecompose dim=%d route=%s ground residual=%.3e",
+            H.dim, _route(H, blocks), np.linalg.norm(_apply(H, v0) - vals[0] * v0),
         )
     return SpectralDecomposition(vals, vecs, basis)
-
-
-def _block_sizes(dim: int) -> str:
-    return f"blocks={(dim + 1) // 2}+{dim // 2}"
 
 
 def ground_sector(H: HermitianOperator, basis: str = "") -> GroundSector:
     """The block of H that holds its ground state, in the gauge of :func:`eigendecompose`.
 
-    A parity-banded H solves only that parity block with vectors, and the
-    other block's two lowest levels without (the block is picked as in
-    :func:`ground_state`). Any other H is :func:`eigendecompose`'s solve as
-    one block.
+    That block alone is solved with vectors, every eigenpair of it as
+    :func:`eigendecompose` solves it; each other block gives its two lowest
+    levels without vectors. The block is picked as in :func:`ground_state`.
     """
-    if H.dim > MAX_DIM:
-        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
-    if H.bands is None:
-        sector = GroundSector.whole(eigendecompose(H, basis))
-    else:
-        parity, vals, vecs, other = _solve_ground_block(H.bands, None, 2)
-        rows = slice(parity, None, 2)
-        vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
-        psi0 = np.zeros(H.dim)
-        psi0[rows] = vecs[:, 0]
-        levels = np.concatenate((vals, other))
-        levels.sort()
-        for array in (vals, vecs, psi0, levels):
-            array.setflags(write=False)
-        sector = GroundSector(vals, vecs, rows, levels, psi0, basis)
+    blocks, first = _blocks(H)
+    index, vals, vecs, other = _solve_ground_block(blocks, first, None, 2)
+    rows = blocks[index][0]
+    vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
+    psi0 = np.zeros(H.dim, dtype=vecs.dtype)
+    psi0[rows] = vecs[:, 0]
+    levels = np.concatenate((vals, other))
+    levels.sort()
+    for array in (vals, vecs, psi0, levels):
+        array.setflags(write=False)
     if logger.isEnabledFor(logging.DEBUG):
-        route = "full" if H.bands is None else (
-            f"parity-tridiagonal {_block_sizes(H.dim)} ground={sector.rows.start}"
-        )
         logger.debug(
-            "ground_sector dim=%d route=%s gap=%.3e",
-            H.dim, route, sector.levels[1] - sector.levels[0],
+            "ground_sector dim=%d route=%s ground=%d gap=%.3e",
+            H.dim, _route(H, blocks), index, levels[1] - levels[0],
         )
-    return sector
+    return GroundSector(vals, vecs, rows, index, levels, psi0, basis)
 
 
-def ground_state(
-    H: HermitianOperator, parity: int | None = None
-) -> tuple[float, float, np.ndarray]:
+def ground_state(H: HermitianOperator, block: int | None = None) -> tuple[float, float, np.ndarray]:
     """(E_0, E_1, ground state), the state in the gauge of :func:`eigendecompose`.
 
-    A parity-banded H needs no dense matrix: one parity block gives its two
-    lowest levels and the ground vector, the other only its lowest level.
-    The block tried first holds H's smallest diagonal entry; should the
-    other block's level lie lower, that block gives the vector instead. Any
-    other H takes the full :func:`eigendecompose`.
+    One block gives its two lowest levels and the ground vector, each other
+    block only its lowest level. The block tried first holds H's smallest
+    diagonal entry; should another block's level lie lower, that block gives
+    the vector instead.
 
-    With `parity`, a parity-banded H solves only that block's lowest
-    eigenpair: for a caller that has certified the ground state lies there
-    with a gap above its tolerance. E_1 is then not solved, and is inf.
+    With `block` (an index into H's blocks), only that block's lowest
+    eigenpair is solved: for a caller that has certified the ground state
+    lies there with a gap above its tolerance. E_1 is then not solved, and
+    is inf.
     """
-    if H.dim > MAX_DIM:
-        raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
-    if H.bands is None:
-        dec = eigendecompose(H)
-        energy_gap(dec)  # DimensionGuard below two levels
-        (e0, e1), psi = dec.eigenvalues[:2], dec.vectors[:, 0]
-        route = "full"
+    blocks, first = _blocks(H)
+    if block is not None:
+        vals, vecs = _solve_block(blocks[block][1], 1)
+        e0, e1, label = vals[0], math.inf, "certified"
     else:
-        if parity is not None:
-            vals, vecs = _block_solve(H.bands, parity, 1)
-            e0, e1, label = vals[0], math.inf, "certified"
-        else:
-            parity, vals, vecs, other = _solve_ground_block(H.bands, 2, 1)
-            e0, e1, label = vals[0], np.sort(np.concatenate((vals, other)))[1], "ground"
-        route = f"parity-tridiagonal {_block_sizes(H.dim)} {label}={parity}"
-        psi = np.zeros(H.dim)
-        psi[parity::2] = _fix_phases(vecs[:, :1])[:, 0]
+        block, vals, vecs, other = _solve_ground_block(blocks, first, 2, 1)
+        levels = np.concatenate((vals, other))
+        if levels.size < 2:
+            raise DimensionGuard("energy gap needs at least two levels")
+        e0, e1, label = vals[0], np.sort(levels)[1], "ground"
+    psi = np.zeros(H.dim, dtype=vecs.dtype)
+    psi[blocks[block][0]] = _fix_phases(vecs[:, :1])[:, 0]
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("ground_state dim=%d route=%s gap=%.3e", H.dim, route, e1 - e0)
+        logger.debug(
+            "ground_state dim=%d route=%s %s=%d gap=%.3e", H.dim, _route(H, blocks), label, block, e1 - e0
+        )
     return float(e0), float(e1), psi
 
 
@@ -509,10 +491,10 @@ def energy_gap(spec: SpectralDecomposition | GroundSector) -> float:
 
 
 def _image(A: HermitianOperator, s: QuantumState) -> np.ndarray:
-    """A s, from the bands when A has them."""
+    """A s, from the bands or blocks when A has them."""
     if A.dim != s.dim:
         raise DimensionGuard(f"operator dim {A.dim} != state dim {s.dim}")
-    return A.entries @ s.amplitudes if A.bands is None else _band_product(A.bands, s.amplitudes)
+    return _apply(A, s.amplitudes)
 
 
 def expectation(A: HermitianOperator, s: QuantumState) -> float:

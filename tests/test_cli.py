@@ -385,7 +385,7 @@ class TestConfig:
 
 
 def test_import_loads_neither_integrate_nor_sparse():
-    # scipy.sparse is imported only by the block search that chain Hamiltonians reach
+    # no anticrit module imports scipy.sparse or scipy.integrate, and scipy.linalg loads neither
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, anticrit; print(sorted({'scipy.integrate', 'scipy.sparse'} & set(sys.modules)))"
     proc = subprocess.run(

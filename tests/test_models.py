@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +69,31 @@ class TestConstructor:
         spec = ModelSpec.at(family, x, 1.7, N=4)
         assert spec.g == math.sqrt(x) * 1.7
         assert spec.x == pytest.approx(x, rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    @pytest.mark.parametrize(
+        "x,omega,fields",
+        [(0.0, 1.0, {}), (0.3, 0.7, {}), (0.9, 1.3, {"n_max": 80}), (2.5, 1.0, {"Omega": 50.0, "N": 6})],
+    )
+    def test_at_builds_the_spec_once(self, family, x, omega, fields):
+        if family == "effective_low" and x >= 1.0:
+            x = 0.5  # beyond its critical point
+        original = ModelSpec.__post_init__
+        with mock.patch.object(ModelSpec, "__post_init__", autospec=True, side_effect=original) as runs:
+            spec = ModelSpec.at(family, x, omega, **fields)
+        assert runs.call_count == 1
+        # the two-step build it replaces: defaults from a g = 0 spec, then the point
+        free = ModelSpec(family=family, omega=omega, **fields)
+        if family in models.BOSONIC_FAMILIES:
+            g = math.sqrt(x * omega * free.Omega)
+        else:
+            g = math.sqrt(x) * omega
+        reference = ModelSpec(family, omega, g, free.Omega, free.N, free.n_max)
+        # repr round-trips a float exactly and tells -0.0 from 0.0: equal reprs are equal bits
+        names = ("family", "omega", "g", "Omega", "N", "n_max")
+        assert [(type(getattr(spec, n)), repr(getattr(spec, n))) for n in names] == [
+            (type(getattr(reference, n)), repr(getattr(reference, n))) for n in names
+        ]
 
     @pytest.mark.parametrize("family", models.FAMILIES)
     def test_at_rejects_negative_x(self, family):

@@ -28,7 +28,7 @@ from anticrit.qfi import (
 )
 from anticrit.spectral import HermitianOperator, QuantumState
 from test_acceptance import TOL  # the golden contract's eigensolver tolerance
-from test_spectral import banded_entries_spy  # banded operators whose dense matrix is read
+from test_spectral import lazy_entries_spy  # band or block operators whose dense matrix is read
 
 
 def ground_state_parities():
@@ -141,8 +141,9 @@ class TestStateFd:
             ModelSpec.effective("low", x=0.9),
             ModelSpec.effective("high", x=8.0),
             ModelSpec(family="lmg", omega=1.0, g=0.9, N=200),
+            ModelSpec(family="tfim", omega=1.0, g=0.7, N=8),
         ],
-        ids=["effective_low", "effective_high", "lmg"],
+        ids=["effective_low", "effective_high", "lmg", "tfim"],
     )
     def test_certified_points_match_both_block_solves(self, spec, caplog):
         patch, parities = ground_state_parities()
@@ -283,7 +284,7 @@ class TestAdiabaticGenerator:
 
     def test_banded_hamiltonians_stay_banded(self):
         ramp = RampSpec(0.1, 0.3, 2.0, steps=21, schedule="linear")
-        with banded_entries_spy() as read:
+        with lazy_entries_spy() as read:
             qfi_adiabatic_generator("effective_high", ramp, n_max=60, check_convergence=False)
         assert read == []
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import logging
+import tracemalloc
 import math
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,6 +33,7 @@ from anticrit.spectral import (
     variance,
 )
 from test_acceptance import _eigensolver_bounds  # the golden contract's error bounds
+from anticrit.spin import ChainBasis, chain_bits
 from test_spin import dicke_matrices  # Dicke S_x, S_y, S_z from an independent ladder
 
 XI_075 = -0.25 * math.log(0.25)  # squeezing at x = 0.75
@@ -279,7 +282,7 @@ class TestParityTridiagonalRoute:
     def test_diagonal_degenerate(self):
         op = build(ModelSpec(family="tfim", omega=1.0, g=0.0, N=6)).H
         dec, routes = solve_counting_routes(op)
-        assert routes == (0, 0)  # every index is its own block: no solve
+        assert routes == (2, 0)  # one dense call on each diagonal parity block
         assert np.any(np.diff(dec.eigenvalues) < 1e-9)  # clusters are present
         assert_valid_decomposition(op, dec)
         assert np.array_equal(dec.eigenvalues, np.sort(np.diag(op.entries)))
@@ -288,10 +291,9 @@ class TestParityTridiagonalRoute:
         "make,routes",
         [
             (stray_offset_one, (1, 0)),
-            # a dense banded matrix, real or complex, is not tridiagonal-solved,
-            # but its even and odd indices still form two blocks
-            (lambda: HermitianOperator(parity_banded(12, 3, 0.0)), (2, 0)),
-            (lambda: HermitianOperator(parity_banded(12, 3, 0.0).astype(complex)), (2, 0)),
+            # a dense matrix is one block, banded or not, real or complex: one evd call
+            (lambda: HermitianOperator(parity_banded(12, 3, 0.0)), (1, 0)),
+            (lambda: HermitianOperator(parity_banded(12, 3, 0.0).astype(complex)), (1, 0)),
             (lambda: random_hermitian(12, 8), (1, 0)),
         ],
         ids=["stray_offset_one", "dense_banded", "complex", "connected_complex"],
@@ -315,13 +317,13 @@ def random_bands(dim, seed, band_zero_fraction):
 
 
 @contextmanager
-def banded_entries_spy():
-    """The banded operators whose dense `entries` are read inside the block."""
+def lazy_entries_spy():
+    """The operators built as bands or blocks whose dense `entries` are read inside the block."""
     read = []
     entries = HermitianOperator.entries
 
     def spy(op):
-        if op.bands is not None:
+        if op.bands is not None or op.blocks is not None:
             read.append(op)
         return entries.fget(op)
 
@@ -387,7 +389,7 @@ class TestParityBandedOperator:
     )
     def test_solves_never_build_the_dense_matrix(self, spec, caplog):
         op = build(spec).H
-        with banded_entries_spy() as read, caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+        with lazy_entries_spy() as read, caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
             dec = eigendecompose(op)
             e0, e1, psi = spectral.ground_state(op)
         assert read == []
@@ -434,21 +436,39 @@ class TestGroundState:
         assert np.all(psi[1::2] == 0.0)
 
     @pytest.mark.parametrize(
+        "make", [lambda: HermitianOperator(parity_banded(12, 3, 0.0))], ids=["dense_banded"]
+    )
+    def test_other_operators_take_the_full_solve(self, make, caplog):
+        # banded, but held dense: one block, whose two lowest eigenpairs take one evr call
+        op = make()
+        with dense_calls() as calls, caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+            e0, e1, psi = spectral.ground_state(op)
+        assert calls == [(12, "evr", True)]
+        dec = eigendecompose(op)
+        assert (e0, e1) == pytest.approx(tuple(dec.eigenvalues[:2]), abs=1e-12)
+        assert np.abs(psi - dec.vectors[:, 0]).max() <= 1e-12
+        assert "route=dense blocks=12 ground=0" in caplog.text
+
+    @pytest.mark.parametrize(
         "make",
         [
             lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=6)).H,
-            lambda: HermitianOperator(parity_banded(12, 3, 0.0)),  # banded, but held dense
+            lambda: build(ModelSpec(family="tfim_transverse", omega=1.0, g=-1.5, N=5)).H,
         ],
-        ids=["tfim", "dense_banded"],
+        ids=["tfim", "tfim_transverse"],
     )
-    def test_other_operators_take_the_full_solve(self, make, caplog):
+    def test_block_operators_solve_the_ground_block(self, make, caplog):
         op = make()
-        with caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
+        with dense_calls() as calls, lazy_entries_spy() as read, \
+                caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
             e0, e1, psi = spectral.ground_state(op)
+        half = op.dim // 2
+        # two eigenpairs of the ground block, the lowest level of the other parity block
+        assert calls == [(half, "evr", True), (half, "evr", False)] and read == []
         dec = eigendecompose(op)
-        assert (e0, e1) == tuple(dec.eigenvalues[:2])
-        assert np.array_equal(psi, dec.vectors[:, 0])
-        assert "route=full" in caplog.text
+        assert (e0, e1) == pytest.approx(tuple(dec.eigenvalues[:2]), abs=1e-12)
+        assert np.abs(psi - dec.vectors[:, 0]).max() <= 1e-12
+        assert f"route=blocks blocks={half}+{half} ground=0" in caplog.text
 
     def test_debug_line_names_route_blocks_and_gap(self, caplog):
         op = build(ModelSpec.effective("low", x=0.5, n_max=10)).H
@@ -463,17 +483,32 @@ class TestGroundState:
             spectral.ground_state(op)
 
 
-def tridiagonal_calls():
-    """A spy on the tridiagonal block solve; each call is recorded as (block size, select,
-    vectors), select being "a" for every level or eigh_tridiagonal's index range."""
+def block_solves():
+    """A spy on the block solve, tridiagonal or dense; each call is recorded as (block size,
+    select, vectors), select being "a" for every level or the index range of the lowest few."""
     calls = []
-    solve = spectral._eigh_tridiagonal
+    solve = spectral._solve_block
 
-    def spy(d, e, count=None, vectors=True):
-        calls.append((d.size, "a" if count is None else (0, min(count, d.size) - 1), vectors))
-        return solve(d, e, count, vectors)
+    def spy(block, count=None, vectors=True):
+        size = block[0].size if isinstance(block, tuple) else block.shape[0]
+        calls.append((size, "a" if count is None else (0, min(count, size) - 1), vectors))
+        return solve(block, count, vectors)
 
-    return mock.patch.object(spectral, "_eigh_tridiagonal", spy), calls
+    return mock.patch.object(spectral, "_solve_block", spy), calls
+
+
+@contextmanager
+def dense_calls():
+    """The dense LAPACK solves inside the block, as (size, driver, vectors)."""
+    calls = []
+    eigh = sla.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape[0], kwargs.get("driver"), not kwargs.get("eigvals_only", False)))
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(sla, "eigh", spy):
+        yield calls
 
 
 class TestTridiagonalKernel:
@@ -506,9 +541,11 @@ class TestTridiagonalKernel:
 
     def test_strided_blocks_match(self):
         diag, band = random_bands(41, 6, 0.3)
-        for parity in (0, 1):
+        blocks = spectral._blocks(HermitianOperator.parity_banded(diag, band))[0]
+        for parity, (rows, block) in enumerate(blocks):
             d, e = diag[parity::2], band[parity::2]
-            vals, vecs = spectral._block_solve((diag, band), parity)
+            assert rows == slice(parity, None, 2)
+            vals, vecs = spectral._solve_block(block)
             ref_vals, ref_vecs = sla.eigh_tridiagonal(d, e, lapack_driver="stevd")
             assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
@@ -558,7 +595,7 @@ class TestGroundSector:
     def test_other_block_lower_is_solved_instead(self):
         # the smallest diagonal entry sits in the odd block, the ground state in the even one
         op = HermitianOperator.parity_banded([0.0, -1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 2.0])
-        patch, calls = tridiagonal_calls()
+        patch, calls = block_solves()
         with patch:
             sector = spectral.ground_sector(op)
         # odd block with vectors, even block's two lowest, then the even block with vectors
@@ -572,11 +609,12 @@ class TestGroundSector:
         ModelSpec.effective("high", x=4.0, n_max=40),
         ModelSpec(family="lmg", omega=1.0, g=0.7, N=40),
         ModelSpec.rabi(1.0, 50.0, 0.3, n_max=30),
-    ], ids=["effective_high", "lmg", "rabi_full"])
+        ModelSpec(family="tfim", omega=1.0, g=0.7, N=4),
+    ], ids=["effective_high", "lmg", "rabi_full", "tfim"])
     def test_one_vector_solve_on_model_hamiltonians(self, spec):
         op = build(spec).H
-        patch, calls = tridiagonal_calls()
-        with patch, banded_entries_spy() as read:
+        patch, calls = block_solves()
+        with patch, lazy_entries_spy() as read:
             sector = spectral.ground_sector(op)
         assert [call for call in calls if call[1] == "a"] == [((op.dim + 1) // 2, "a", True)]
         assert [call for call in calls if call[1] != "a"] == [(op.dim // 2, (0, 1), False)]
@@ -586,23 +624,18 @@ class TestGroundSector:
         assert np.abs(sector.levels[:3] - dec.eigenvalues[:3]).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "make", [lambda: build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=4)).H], ids=["tfim"]
+        "make", [lambda: HermitianOperator(parity_banded(12, 3, 0.0))], ids=["dense_banded"]
     )
     def test_other_operators_are_one_block(self, make):
+        # a dense H is one block, solved as eigendecompose solves it: one evd call
         op = make()
-        solves = []
-
-        def recorded(*args):
-            solves.append(eigendecompose(*args))
-            return solves[-1]
-
-        with mock.patch.object(spectral, "eigendecompose", recorded):
+        with dense_calls() as calls:
             sector = spectral.ground_sector(op, basis="b")
-        [dec] = solves
-        assert sector.energies is dec.eigenvalues and sector.levels is dec.eigenvalues
-        assert sector.vectors is dec.vectors and sector.psi0.base is dec.vectors
-        assert sector.rows == slice(None) and sector.basis == "b"
-        assert np.array_equal(sector.psi0, eigendecompose(op).vectors[:, 0])
+        assert calls == [(12, "evd", True)]
+        dec = eigendecompose(op)
+        assert np.array_equal(sector.energies, dec.eigenvalues) and np.array_equal(sector.levels, dec.eigenvalues)
+        assert np.array_equal(sector.vectors, dec.vectors) and np.array_equal(sector.psi0, dec.vectors[:, 0])
+        assert sector.rows == slice(None) and sector.block == 0 and sector.basis == "b"
 
     def test_whole_shares_the_arrays(self):
         dec = eigendecompose(random_hermitian(6, 2))
@@ -647,7 +680,7 @@ class TestDiagonalOperator:
         ids=lambda spec: spec.family,
     )
     def test_d_omega_h_is_diagonal_and_never_dense(self, spec):
-        with banded_entries_spy() as read:
+        with lazy_entries_spy() as read:
             inst = build(spec)
             state = QuantumState(np.ones(inst.H.dim) / math.sqrt(inst.H.dim), inst.basis)
             mean, var = expectation(inst.dH_domega, state), variance(inst.dH_domega, state)
@@ -665,11 +698,11 @@ class TestDiagonalOperator:
 
 
 def block_diagonal(sizes, singles, seed, complex_, repeat):
-    """Random Hermitian matrix that is block-diagonal under a random permutation.
+    """Random Hermitian block operator whose blocks sit on randomly permuted rows.
 
-    Each block of `sizes` is dense, so connected; `singles` indices couple to
-    nothing. With `repeat`, the last block copies the first, so the two share
-    every eigenvalue.
+    Each block of `sizes` is dense; `singles` indices couple to nothing and
+    are 1 x 1 blocks. With `repeat`, the last block copies the first, so the
+    two share every eigenvalue.
     """
     rng = np.random.default_rng(seed)
     blocks = []
@@ -681,9 +714,11 @@ def block_diagonal(sizes, singles, seed, complex_, repeat):
     if repeat:
         blocks[-1] = blocks[0]
     blocks += [np.array([[value]]) for value in rng.normal(size=singles)]
-    m = sla.block_diag(*blocks)
-    perm = rng.permutation(m.shape[0])
-    return HermitianOperator(m[np.ix_(perm, perm)])
+    # block k holds rows k of the unpermuted matrix; its rows after the permutation
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    where = np.argsort(rng.permutation(offsets[-1]))
+    rows = [where[start:stop] for start, stop in zip(offsets[:-1], offsets[1:])]
+    return HermitianOperator.block_diagonal(rows, blocks)
 
 
 def golden_bounds(family, N, g, gap, q):
@@ -706,14 +741,15 @@ class TestBlockRoute:
         # blocks of three or more indices cannot all sit on diagonals 0 and +/-2
         op = block_diagonal(sizes, singles, seed, complex_, repeat)
         dec, routes = solve_counting_routes(op)
-        assert routes == (len(sizes), 0)  # one dense call per block, none for the singles
+        assert routes == (len(sizes) + singles, 0)  # one dense call per block, singles included
         tol = assert_valid_decomposition(op, dec)
         assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(op.entries)).max() <= tol
 
     def test_all_singles(self):
-        op = HermitianOperator(np.diag([2.0, -1.0, 2.0, 0.5]).astype(complex))
+        values = [2.0, -1.0, 2.0, 0.5]
+        op = HermitianOperator.block_diagonal([[k] for k in range(4)], [[[complex(v)]] for v in values])
         dec, routes = solve_counting_routes(op)
-        assert routes == (0, 0)
+        assert routes == (4, 0)  # one 1 x 1 block each
         assert_valid_decomposition(op, dec)
         assert np.array_equal(dec.eigenvalues, [-1.0, 0.5, 2.0, 2.0])
 
@@ -735,12 +771,99 @@ class TestBlockRoute:
         bounds = golden_bounds(family, N, g, gap, q)
         assert abs(energy_gap(dec) - gap) <= bounds["gap01"]
         assert abs(qfi_spectral_sum(inst, dec).value - q) <= bounds["qfi_spectral"]
+        # the ground block alone: psi_0 from the same evd call on the same block
+        sector = spectral.ground_sector(inst.H)
+        assert np.array_equal(sector.psi0, dec.vectors[:, 0])
+        assert np.abs(sector.levels[:3] - vals[:3]).max() <= bounds["gap01"]
+        assert abs(energy_gap(sector) - gap) <= bounds["gap01"]
+        assert abs(qfi_spectral_sum(inst, sector).value - q) <= bounds["qfi_spectral"]
 
     def test_debug_line_names_route_and_blocks(self, caplog):
         op = build(ModelSpec(family="tfim", omega=1.0, g=0.5, N=4)).H
         with caplog.at_level(logging.DEBUG, logger="anticrit.spectral"):
             eigendecompose(op)
         assert "route=blocks blocks=8+8 " in caplog.text
+
+
+def dense_chain_hamiltonian(family, N, g):
+    """The chain H written into one dense 2^N x 2^N matrix, entry by entry from the bit
+    table: the diagonal, then -g on each bond flip (omega = 1)."""
+    states, signs = chain_bits(ChainBasis(N))
+    bonds = [(i, (i + 1) % N) for i in range(N)]
+    H = np.zeros((2**N, 2**N))
+    diag = 1.0 * signs.sum(axis=1)
+    if family == "tfim_transverse":
+        diag = diag + g * sum(signs[:, i] * signs[:, j] for i, j in bonds)
+    np.fill_diagonal(H, diag)
+    for i, j in bonds:
+        H[states ^ ((1 << i) | (1 << j)), states] = 0.0 - g
+    return H
+
+
+class TestBlockDiagonalOperator:
+    def test_entries_built_once_read_only(self):
+        op = block_diagonal([3, 4], 2, 5, True, False)
+        m = op.entries
+        assert op.entries is m and not m.flags.writeable
+        assert (op.dim, op.dtype) == (9, np.complex128)
+        assert np.array_equal(op.diagonal, np.diagonal(m))
+        for rows, block in op.blocks:
+            assert np.array_equal(m[np.ix_(rows, rows)], block)
+            assert not rows.flags.writeable and not block.flags.writeable
+
+    def test_caller_arrays_copied(self):
+        rows, block = [np.array([1, 0])], np.array([[1.0, 2.0], [2.0, 1.0]])
+        op = HermitianOperator.block_diagonal(rows, [block])
+        rows[0][0], block[0, 0] = 0, 7.0
+        assert list(op.blocks[0][0]) == [1, 0] and op.blocks[0][1][0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, 1], [1, 2]], [[0, 1], [3, 4]], [[0, 1], [-1, 2]], [[0, 1]], []],
+        ids=["overlap", "gap", "negative", "blocks_without_rows", "empty"],
+    )
+    def test_rows_not_a_partition_rejected(self, rows):
+        blocks = [np.eye(2), np.eye(2)]
+        with pytest.raises(DimensionGuard):
+            HermitianOperator.block_diagonal(rows, blocks)
+
+    @pytest.mark.parametrize("block", [np.eye(3), np.ones((2, 3)), np.ones(2)], ids=["rows", "not_square", "1d"])
+    def test_size_mismatch_rejected(self, block):
+        with pytest.raises(DimensionGuard):
+            HermitianOperator.block_diagonal([[0], [1, 2]], [[[1.0]], block])
+
+    def test_non_hermitian_block_rejected(self):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(HermiticityViolation) as dense:
+            HermitianOperator(bad)
+        with pytest.raises(HermiticityViolation) as blocks:
+            HermitianOperator.block_diagonal([[0], [2, 1]], [[[1.0]], bad])
+        assert str(blocks.value) == str(dense.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, value):
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            HermitianOperator.block_diagonal([[1], [0, 2]], [[[1.0]], [[1.0, value], [5.0, 1.0]]])
+
+    @pytest.mark.parametrize("g", [0.0, -0.0, 0.7, -2.9], ids=repr)
+    @pytest.mark.parametrize("family", ["tfim", "tfim_transverse"])
+    def test_chain_entries_match_the_dense_build(self, family, g):
+        for N in range(3, 11):
+            H = build(ModelSpec(family=family, omega=1.0, g=g, N=N)).H
+            digest = hashlib.sha256(H.entries.tobytes()).hexdigest()
+            assert digest == hashlib.sha256(dense_chain_hamiltonian(family, N, g).tobytes()).hexdigest()
+            assert [rows.size for rows, _ in H.blocks] == [2 ** (N - 1)] * 2
+            assert H.blocks[0][0][0] == 0 and all(np.all(np.diff(rows) > 0) for rows, _ in H.blocks)
+
+    def test_chain_build_allocates_no_full_matrix(self):
+        build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=10))  # the cached bit tables
+        tracemalloc.start()
+        try:
+            build(ModelSpec(family="tfim", omega=1.0, g=0.3, N=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8  # one dense float64 1024 x 1024 matrix
 
 
 class TestEnergyGap:

@@ -23,8 +23,9 @@ from anticrit.sweep import (
     sweep_metadata,
     write_csv,
 )
-from test_spectral import banded_entries_spy  # banded operators whose dense matrix is read
-from test_spectral import tridiagonal_calls  # eigh_tridiagonal calls as (size, select, vectors)
+from test_spectral import block_solves  # block solves as (size, select, vectors)
+from test_spectral import dense_calls  # dense LAPACK solves as (size, driver, vectors)
+from test_spectral import lazy_entries_spy  # band or block operators whose dense matrix is read
 
 
 class TestGrids:
@@ -103,9 +104,12 @@ class TestEffectiveSweep:
         assert a == b
 
 
-@pytest.mark.parametrize("family,grid", [("effective", (-8.0, 0.5)), ("lmg", (0.3, 0.9))])
+@pytest.mark.parametrize(
+    "family,grid",
+    [("effective", (-8.0, 0.5)), ("lmg", (0.3, 0.9)), ("tfim", (-1.2, 0.7)), ("tfim_transverse", (-0.4, 2.1))],
+)
 def test_rows_never_build_a_dense_hamiltonian(family, grid):
-    with banded_entries_spy() as read:
+    with lazy_entries_spy() as read:
         rows = run_sweep(SweepConfig(family=family, grid=grid))
     assert [row["status"] for row in rows] == ["ok", "ok"]
     assert read == []
@@ -117,7 +121,7 @@ def test_rows_never_build_a_dense_hamiltonian(family, grid):
     ids=["effective_high", "effective_low", "lmg"],
 )
 def test_row_solves_one_block_with_all_vectors(family, grid, full_vectors):
-    patch, calls = tridiagonal_calls()
+    patch, calls = block_solves()
     with patch, mock.patch.object(spectral, "eigendecompose", wraps=spectral.eigendecompose) as full:
         [row] = run_sweep(SweepConfig(family=family, grid=grid))
     assert row["status"] == "ok"
@@ -130,10 +134,13 @@ def test_row_solves_one_block_with_all_vectors(family, grid, full_vectors):
     )
 
 
-def test_chain_row_makes_one_full_solve():
-    with mock.patch.object(spectral, "eigendecompose", wraps=spectral.eigendecompose) as full:
+def test_chain_row_solves_one_block_with_vectors():
+    with mock.patch.object(spectral, "eigendecompose", wraps=spectral.eigendecompose) as full, \
+            dense_calls() as calls:
         [row] = run_sweep(SweepConfig(family="tfim", grid=(0.7,), N=4))
-    assert row["status"] == "ok" and full.call_count == 1
+    assert row["status"] == "ok" and full.call_count == 0
+    # every eigenpair of psi_0's parity block, the two lowest levels of the other
+    assert calls == [(8, "evd", True), (8, "evr", False)]
 
 
 class TestSpinSweeps:
