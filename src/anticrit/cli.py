@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, fock, models, qfi, spectral, sweep
+from . import __version__, _blas, fock, models, qfi, spectral, sweep
 from .errors import NumericalGuard
 from .fock import Sector
 from .models import ModelSpec
@@ -126,6 +126,7 @@ def _print_result(result: qfi.QfiResult, verbose: bool) -> None:
             print(f"{key}={value}")
 
 
+@_blas.single_thread()
 def _cmd_qfi(args) -> int:
     spec = _model_spec(args)  # x from --g (and --Omega) when given, for every method
     if args.method == "analytic":
@@ -148,6 +149,7 @@ def _cmd_qfi(args) -> int:
     return EXIT_OK
 
 
+@_blas.single_thread()
 def _cmd_gap(args) -> int:
     _, dec = models.diagonalize_converged(_model_spec(args))
     gap = spectral.energy_gap(dec)
@@ -192,6 +194,7 @@ def _cmd_adiabatic(args) -> int:
     return EXIT_OK
 
 
+@_blas.single_thread()
 def _cmd_converge(args) -> int:
     levels = [int(v) for v in args.levels.split(",") if v.strip()]
     rows = sweep.convergence_report(args.family, args.omega, args.x, levels)

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from . import models
+from . import _blas, models
 from .errors import ConvergenceGuard, DegeneracyGuard, GapGuard, StepGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
@@ -259,6 +259,7 @@ def _generator_value(
     return float(4.0 * np.sum(np.abs(integrals) ** 2))
 
 
+@_blas.single_thread()  # one scope per ramp, not per step
 def qfi_adiabatic_generator(
     family: str,
     ramp: RampSpec,

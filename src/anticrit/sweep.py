@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import __version__, fock, models, qfi
+from . import __version__, _blas, fock, models, qfi
 from .errors import NumericalGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
@@ -148,6 +148,7 @@ def _fill_qfi_cells(
     row["qfi_times_gap"], row["qfi_times_gap_sq"] = qfi.normalized_metrics(spectral, row["gap01"])
 
 
+@_blas.single_thread()
 def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
     """Signed axis: low sector for x_signed >= 0, high for x_signed < 0."""
     sector = Sector.LOW if x_signed >= 0 else Sector.HIGH
@@ -172,6 +173,7 @@ def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
     return row
 
 
+@_blas.single_thread()
 def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
     row: dict[str, Any] = {
         "g_over_gc": g_over_gc,
