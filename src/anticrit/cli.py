@@ -44,7 +44,9 @@ CONFIG_DEFAULTS: dict[str, tuple[str, str]] = {
     "truncation_tol": (
         str(fock.TRUNCATION_TOL), "max population allowed in the top two Fock levels"
     ),
-    "ramp_gap_tol": (str(qfi.RAMP_GAP_TOL), "minimal instantaneous gap along adiabatic ramps"),
+    "ramp_gap_tol": (
+        str(qfi.RAMP_GAP_TOL), "minimal instantaneous gap inside the ground state's block along adiabatic ramps"
+    ),
     "max_dim": (str(spectral.MAX_DIM), "largest matrix the eigensolver will accept"),
 }
 

@@ -344,10 +344,10 @@ def ground_decomposition(
     return dec
 
 
-def ground_block(instance: ModelInstance) -> GroundSector:
-    """:func:`spectral.ground_sector` of H, with the ground state's norm and the truncation
-    bound checked."""
-    sector = ground_sector(instance.H, basis=instance.basis)
+def ground_block(instance: ModelInstance, count: int | None = None) -> GroundSector:
+    """:func:`spectral.ground_sector` of H (its block's lowest `count` levels, or every one),
+    with the ground state's norm and the truncation bound checked."""
+    sector = ground_sector(instance.H, basis=instance.basis, count=count)
     check_norm(sector.psi0)
     enforce_truncation_bound(instance, sector.psi0)
     return sector
@@ -370,10 +370,13 @@ def diagonalize_converged(spec: ModelSpec) -> tuple[ModelInstance, SpectralDecom
     return _converged(spec, ground_decomposition)
 
 
-def ground_sector_converged(spec: ModelSpec) -> tuple[ModelInstance, GroundSector]:
+def ground_sector_converged(
+    spec: ModelSpec, count: int | None = None
+) -> tuple[ModelInstance, GroundSector]:
     """Build and solve the ground state's block, doubling n_max until the truncation bound holds.
 
     For the callers that need only the ground state, its block and H's
-    lowest levels: d_omega H is diagonal and keeps each parity block.
+    lowest levels: d_omega H is diagonal and keeps each parity block. With
+    `count`, only the block's lowest `count` levels are solved.
     """
-    return _converged(spec, ground_block)
+    return _converged(spec, lambda inst: ground_block(inst, count))

@@ -5,7 +5,8 @@ Four independent routes to the same quantity:
 * ``qfi_analytic_squeezed`` -- closed form for the effective sectors,
 * ``qfi_spectral_sum``      -- exact sum over excited states,
 * ``qfi_state_fd``          -- finite differences of gauge-fixed ground states,
-* ``qfi_adiabatic_generator`` -- variance of the adiabatic generator along a ramp,
+* ``qfi_adiabatic_generator`` -- the adiabatic-frame sum along a ramp, which is the
+  variance of the adiabatic generator for a constant Hamiltonian,
 
 plus the phase-imprint and effective-oscillator evolution forms and the
 gap-normalized precision metrics.
@@ -43,6 +44,7 @@ FD_STEP_FRACTION = 1e-5
 FD_RICHARDSON_RTOL = 1e-4
 RAMP_CONVERGENCE_RTOL = 1e-3
 TERM_WEIGHT_CUTOFF = 1e-16
+RAMP_LEVELS = 3  # levels of psi_0's block a banded ramp step solves first
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,11 @@ class RampSpec:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.schedule == "constant" and self.x_start != self.x_end:
             raise ValueError("constant schedule requires x_start == x_end")
+
+    @property
+    def constant(self) -> bool:
+        """Whether H stays the same along the ramp."""
+        return self.schedule == "constant" or self.x_start == self.x_end
 
 
 def qfi_analytic_squeezed(sector: Sector | str, omega: float, x: float) -> QfiResult:
@@ -117,6 +124,11 @@ def qfi_spectral_sum(
     so the sum runs over that block's levels only; the guard reads H's gap.
     """
     sector = models.ground_block(model) if dec is None else _sector(dec)
+    if not sector.complete:
+        raise ValueError(
+            f"the spectral sum needs every level of psi_0's block, got {sector.energies.size} "
+            f"of {sector.vectors.shape[0]}"
+        )
     gap = _nondegenerate_gap(energy_gap(sector))
     vecs = sector.vectors
     matrix_elems = vecs.conj().T @ (model.dH_domega.diagonal[sector.rows] * vecs[:, 0])
@@ -259,40 +271,26 @@ def _generator_value(
     return float(4.0 * np.sum(np.abs(integrals) ** 2))
 
 
-@_blas.single_thread()  # one scope per ramp, not per step
-def qfi_adiabatic_generator(
-    family: str,
-    ramp: RampSpec,
-    omega: float = 1.0,
-    n_max: int | None = None,
-    N: int | None = None,
-    check_convergence: bool = True,
-) -> QfiResult:
-    """4 Var(G) for the adiabatic generator G = i U^dag d_omega U along the ramp."""
-    constant = ramp.schedule == "constant" or ramp.x_start == ramp.x_end
-    if family == "rabi_full" or (family in ("tfim", "tfim_transverse") and not constant):
-        # levels cross (rabi_full's two parity sectors) or sit in exactly degenerate
-        # clusters (chains); index tracking cannot follow either. A constant ramp
-        # copies step 0, so it tracks nothing.
-        raise ValueError(f"unsupported family for ramps: {family!r}")
-    if check_convergence and ramp.steps % 2 == 0:
-        raise ValueError(f"the step-halving check needs an odd step count, got {ramp.steps}")
-    ts = np.linspace(0.0, ramp.T, ramp.steps)
-    xs = np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
+def _ramp_steps(family: str, ramp: RampSpec, omega: float, n_max, N, count: int | None):
+    """(energies, matrix elements, dropped weight, least gap) at each step of the ramp, from
+    the lowest `count` levels of psi_0's block at each step (every level for None).
 
-    block = rows = dim = None
-    energies = None
-    elems = None
+    The matrix elements are <n|d_omega H|psi_0> in a real gauge that follows
+    the previous step. With b = d_omega H psi_0 on the block, e = V^T b and
+    r = b - V e, the dropped weight is ||r||^2, the weight of b on the
+    levels not solved. With `count`, None is returned once some step has
+    ||r||^2 > TERM_WEIGHT_CUTOFF (sum_{n>=1} e_n^2 + ||r||^2). A constant
+    ramp solves step 0 only and copies it.
+    """
+    xs = np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
+    block = rows = dim = energies = elems = None
+    dropped = np.zeros(ramp.steps)
     min_gap = math.inf
     prev_vecs = None
-    for k, (t, x) in enumerate(zip(ts, xs)):
-        if constant and k > 0:
-            energies[k] = energies[0]
-            elems[k] = elems[0]
-            continue
+    for k, x in enumerate(xs[:1] if ramp.constant else xs):
         spec = ModelSpec.at(family, float(x), omega, n_max=n_max, N=N)
         # d_omega H keeps the ground state's block, so only its levels enter
-        inst, sector = models.ground_sector_converged(spec)
+        inst, sector = models.ground_sector_converged(spec, count)
         if inst.H.dtype.kind == "c":
             raise ValueError("ramp requires a real-symmetric Hamiltonian family")
         if dim is None:
@@ -312,18 +310,74 @@ def qfi_adiabatic_generator(
             signs[signs == 0] = 1.0
             vecs = vecs * signs[np.newaxis, :]
         prev_vecs = vecs
-        gap = energy_gap(sector)
+        # the gap inside psi_0's block: d_omega H couples psi_0 to no other block
+        gap = float(sector.energies[1] - sector.energies[0])
         min_gap = min(min_gap, gap)
         if gap <= RAMP_GAP_TOL:
             raise GapGuard(f"instantaneous gap {gap:.3e} <= {RAMP_GAP_TOL:.0e} along ramp")
         energies[k] = sector.energies
-        elems[k] = vecs.T @ (inst.dH_domega.diagonal[rows] * vecs[:, 0])
+        image = inst.dH_domega.diagonal[rows] * vecs[:, 0]
+        elems[k] = vecs.T @ image
+        if not sector.complete:
+            residual = image - vecs @ elems[k]
+            dropped[k] = residual @ residual
+            if dropped[k] > TERM_WEIGHT_CUTOFF * (elems[k, 1:] @ elems[k, 1:] + dropped[k]):
+                return None
+    if ramp.constant:
+        energies[1:], elems[1:], dropped[1:] = energies[0], elems[0], dropped[0]
+    return energies, elems, dropped, min_gap
+
+
+@_blas.single_thread()  # one scope per ramp, not per step
+def qfi_adiabatic_generator(
+    family: str,
+    ramp: RampSpec,
+    omega: float = 1.0,
+    n_max: int | None = None,
+    N: int | None = None,
+    check_convergence: bool = True,
+) -> QfiResult:
+    """The adiabatic-frame sum 4 sum_{n>=1} |int_0^T e^{i(theta_0 - theta_n)} <n|d_omega H|0> dt|^2
+    along the ramp, theta_n the dynamical phase of the instantaneous level n.
+
+    This is 4 Var(G) for G = i U^dag d_omega U exactly when H is constant.
+    On a varying ramp it replaces U(t)|n(0)> by e^{-i theta_n}|n(t)>, which
+    drops the diabatic part of the evolved state, so it is not 4 Var(G)
+    there. The integrals are composite trapezoids over the ramp's steps; the
+    reported ``step_halving_relative_shift`` compares them with every
+    other step and estimates the time-step error, it does not bound it.
+
+    On a parity-banded H (effective sectors, lmg), each step first solves
+    only the lowest three levels of psi_0's block, and checks that
+    d_omega H psi_0 has at most TERM_WEIGHT_CUTOFF of its off-ground weight
+    on the levels not solved. In the effective sectors n connects psi_0 to
+    the two-quasiparticle level alone, so the check passes; should any step
+    fail it, the whole ramp is solved again with every level. By
+    Cauchy-Schwarz the levels dropped change the value by at most
+    ``dropped_bound`` = 4 T int ||r||^2 dt. A chain's dense blocks keep every
+    level.
+    """
+    chain = family in ("tfim", "tfim_transverse")
+    if family == "rabi_full" or (chain and not ramp.constant):
+        # levels cross (rabi_full's two parity sectors) or sit in exactly degenerate
+        # clusters (chains); index tracking cannot follow either. A constant ramp
+        # copies step 0, so it tracks nothing.
+        raise ValueError(f"unsupported family for ramps: {family!r}")
+    if check_convergence and ramp.steps % 2 == 0:
+        raise ValueError(f"the step-halving check needs an odd step count, got {ramp.steps}")
+    ts = np.linspace(0.0, ramp.T, ramp.steps)
+    steps = None if chain else _ramp_steps(family, ramp, omega, n_max, N, RAMP_LEVELS)
+    if steps is None:
+        steps = _ramp_steps(family, ramp, omega, n_max, N, None)
+    energies, elems, dropped, min_gap = steps
 
     value = _generator_value(ts, energies, elems)
     diagnostics: dict[str, Any] = {
         "steps": ramp.steps,
         "min_gap": min_gap,
         "berry_term_imag_max": 0.0,  # real gauge on real-symmetric families
+        "levels_solved": energies.shape[1],
+        "dropped_bound": 4.0 * ramp.T * float(np.sum(_trapezoids(ts, dropped[:, np.newaxis]))),
     }
     if check_convergence:
         coarse = _generator_value(ts[::2], energies[::2], elems[::2])

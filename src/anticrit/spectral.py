@@ -225,7 +225,8 @@ class SpectralDecomposition:
 class GroundSector:
     """The eigenpairs of the block of H that holds its ground state, and H's lowest levels.
 
-    `levels` holds every level of the block and the two lowest of the rest,
+    `levels` holds every level of the block (or its lowest three or more, when
+    the sector is not :attr:`complete`) and the two lowest of the rest,
     ascending: at most two of H's three lowest levels lie outside the block,
     so ``levels[:3]`` are E_0, E_1 and E_2. `block` indexes H's blocks (parity
     0 or 1 in every model family); a full decomposition is one block over all
@@ -249,6 +250,11 @@ class GroundSector:
     def state(self) -> QuantumState:
         """The ground state, norm-checked."""
         return QuantumState(self.psi0, self.basis)
+
+    @property
+    def complete(self) -> bool:
+        """Whether every level of the block was solved."""
+        return self.vectors.shape[1] == self.vectors.shape[0]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -425,15 +431,21 @@ def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecompositi
     return SpectralDecomposition(vals, vecs, basis)
 
 
-def ground_sector(H: HermitianOperator, basis: str = "") -> GroundSector:
+def ground_sector(H: HermitianOperator, basis: str = "", count: int | None = None) -> GroundSector:
     """The block of H that holds its ground state, in the gauge of :func:`eigendecompose`.
 
     That block alone is solved with vectors, every eigenpair of it as
     :func:`eigendecompose` solves it; each other block gives its two lowest
     levels without vectors. The block is picked as in :func:`ground_state`.
+
+    With `count` (at least 3), only the block's lowest `count` eigenpairs
+    are solved (``stebz`` and ``stein``, or ``evr`` on a dense block), fewer
+    if the block is smaller; ``levels[:3]`` are still E_0, E_1 and E_2.
     """
+    if count is not None and count < 3:
+        raise ValueError(f"a ground sector solves at least its block's 3 lowest levels, got count={count}")
     blocks, first = _blocks(H)
-    index, vals, vecs, other = _solve_ground_block(blocks, first, None, 2)
+    index, vals, vecs, other = _solve_ground_block(blocks, first, count, 2)
     rows = blocks[index][0]
     vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
     psi0 = np.zeros(H.dim, dtype=vecs.dtype)

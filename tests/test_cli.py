@@ -247,6 +247,16 @@ class TestAdiabaticCommand:
         explicit = run_cli(capsys, "adiabatic", "--family", family, *ramp, "--N", default_n)
         assert explicit == (0, out, "")
 
+    def test_level_diagnostics_verbose_only(self, capsys):
+        ramp = ("adiabatic", "--family", "effective_high", "--x-start", "0", "--x-end", "0.5",
+                "--T", "2", "--steps", "101", "--n-max", "60")
+        code, out, _ = run_cli(capsys, *ramp)
+        assert code == 0 and len(out.splitlines()) == 1
+        code, verbose, _ = run_cli(capsys, *ramp, "--verbose")
+        lines = verbose.splitlines()
+        assert code == 0 and lines[0] == out.strip() and "levels_solved=3" in lines
+        assert 0.0 <= float(dict(line.split("=") for line in lines[1:])["dropped_bound"]) <= 1e-28
+
     @pytest.mark.parametrize("flag", [("--x", "3"), ("--g", "5"), ("--Omega", "2")])
     def test_coupling_flags_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

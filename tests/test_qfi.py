@@ -1,5 +1,6 @@
 import logging
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,31 @@ from anticrit.qfi import (
 from anticrit.spectral import HermitianOperator, QuantumState
 from test_acceptance import TOL  # the golden contract's eigensolver tolerance
 from test_spectral import lazy_entries_spy  # band or block operators whose dense matrix is read
+
+
+@contextmanager
+def lapack_calls():
+    """The LAPACK eigensolver drivers called inside the block, in order, by name."""
+    calls = []
+
+    def spy(name, call):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+
+        return record
+
+    eigh = spectral.sla.eigh
+
+    def dense(a, *args, **kwargs):
+        calls.append(kwargs["driver"])
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.multiple(
+        spectral, _STEVD=spy("stevd", spectral._STEVD), _STEBZ=spy("stebz", spectral._STEBZ),
+        _STEIN=spy("stein", spectral._STEIN),
+    ), mock.patch.object(spectral.sla, "eigh", dense):
+        yield calls
 
 
 def ground_state_parities():
@@ -93,6 +119,13 @@ class TestSpectralSum:
         with pytest.raises(DegeneracyGuard) as err:
             qfi_spectral_sum(fake)
         assert err.value.gap is not None
+
+    def test_partial_sector_refused(self):
+        # three of the block's 61 levels would drop every other term of the sum
+        inst = models.build(ModelSpec(family="lmg", omega=1.0, g=0.7, N=120))
+        sector = spectral.ground_sector(inst.H, count=3)
+        with pytest.raises(ValueError, match="every level of psi_0's block, got 3 of 61"):
+            qfi_spectral_sum(inst, sector)
 
 
 class TestStateFd:
@@ -256,16 +289,21 @@ class TestAdiabaticGenerator:
         assert result.value >= 0
         assert result.diagnostics["min_gap"] > 0
 
-    @pytest.mark.parametrize("sector", ["low", "high"])
-    def test_linear_ramp_matches_full_decompositions(self, sector):
+    @pytest.mark.parametrize(
+        "family,fields",
+        [("effective_low", {"n_max": 120}), ("effective_high", {"n_max": 120}), ("lmg", {"N": 20})],
+        ids=["low", "high", "lmg"],
+    )
+    def test_linear_ramp_matches_full_decompositions(self, family, fields):
         # the same adiabatic-frame sum, from eigendecompose's full solve at every step
-        # and scipy's quadrature: guards the ground-block route's level order and gauge
-        family, n_max = f"effective_{sector}", 120
+        # and scipy's quadrature: guards the ground-block route's level order and gauge.
+        # S_z connects the lmg ground state to more than three levels, so that ramp is
+        # solved again with every level
         ramp = RampSpec(0.0, 0.6, 2.0, steps=201)
         ts, xs = np.linspace(0.0, ramp.T, ramp.steps), np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
         energies, elems, prev = [], [], None
         for x in xs:
-            inst = models.build(ModelSpec.at(family, float(x), n_max=n_max))
+            inst = models.build(ModelSpec.at(family, float(x), **fields))
             dec = spectral.eigendecompose(inst.H)
             parity = 0 if not dec.vectors[1::2, 0].any() else 1
             columns = np.flatnonzero(~np.any(dec.vectors[1 - parity :: 2], axis=0))
@@ -279,8 +317,54 @@ class TestAdiabaticGenerator:
         theta = cumulative_trapezoid(energies, ts, axis=0, initial=0.0)
         integrals = trapezoid(np.exp(1j * (theta[:, :1] - theta[:, 1:])) * elems[:, 1:], ts, axis=0)
         expected = 4.0 * np.sum(np.abs(integrals) ** 2)
-        value = qfi_adiabatic_generator(family, ramp, n_max=n_max).value
-        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        result = qfi_adiabatic_generator(family, ramp, **fields)
+        assert result.value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        full = family == "lmg"
+        assert result.diagnostics["levels_solved"] == (energies.shape[1] if full else qfi.RAMP_LEVELS)
+        assert 0.0 <= result.diagnostics["dropped_bound"] <= (0.0 if full else 1e-14 * result.value)
+
+    def test_three_level_steps_certified(self):
+        # every effective step holds d_omega H psi_0 on its three levels: no stevd call.
+        # lmg fails the check and ends on one stevd per step; a chain's dense block
+        # keeps every level, with one evd call for a constant ramp
+        effective = RampSpec(0.0, 0.6, 2.0, steps=21)
+        with lapack_calls() as calls:
+            qfi_adiabatic_generator("effective_high", effective, n_max=60, check_convergence=False)
+        assert "stevd" not in calls and calls.count("stein") == effective.steps
+        lmg = RampSpec(0.1, 0.3, 2.0, steps=21)
+        with lapack_calls() as calls:
+            qfi_adiabatic_generator("lmg", lmg, N=20, check_convergence=False)
+        assert "stein" in calls[: -2 * lmg.steps]
+        assert calls[-2 * lmg.steps :] == ["stevd", "stebz"] * lmg.steps
+        chain = RampSpec(0.5, 0.5, 2.0, steps=21, schedule="constant")
+        with lapack_calls() as calls:
+            qfi_adiabatic_generator("tfim", chain, N=6, check_convergence=False)
+        assert calls == ["evd", "evr"]
+
+    @pytest.mark.parametrize("sector", ["low", "high"])
+    def test_dropped_levels_bounded(self, sector):
+        # the three-level value against every level, with the reported bound on the levels dropped
+        ramp = RampSpec(0.0, 0.89, 2.0, steps=201)
+        three = qfi_adiabatic_generator(f"effective_{sector}", ramp, n_max=120)
+        with mock.patch.object(qfi, "RAMP_LEVELS", 10**6):
+            every = qfi_adiabatic_generator(f"effective_{sector}", ramp, n_max=120)
+        assert every.diagnostics["levels_solved"] == 61
+        assert three.value == pytest.approx(every.value, rel=1e-14, abs=0.0)
+        assert three.diagnostics["dropped_bound"] <= 1e-28 * three.value
+        assert three.diagnostics["min_gap"] == pytest.approx(every.diagnostics["min_gap"], rel=1e-14)
+
+    def test_gap_guard_reads_psi0s_block(self):
+        # at g = 5 the full-space gap is the 1.9e-7 tunnelling gap to the other
+        # parity block, which sum sigma_z never couples; psi_0's own block has a gap of 16.2
+        N, x, T = 10, 25.0, 2.0
+        inst, sector = models.ground_sector_converged(ModelSpec.at("tfim", x, N=N))
+        assert spectral.energy_gap(sector) < qfi.RAMP_GAP_TOL
+        elems = sector.vectors.T @ (inst.dH_domega.diagonal[sector.rows] * sector.vectors[:, 0])
+        dE = sector.energies - sector.energies[0]
+        oracle = float(np.sum(4 * elems[1:] ** 2 * 2 * (1 - np.cos(dE[1:] * T)) / dE[1:] ** 2))
+        result = qfi_adiabatic_generator("tfim", RampSpec(x, x, T, steps=4001, schedule="constant"), N=N)
+        assert result.value == pytest.approx(oracle, rel=1e-4)
+        assert result.diagnostics["min_gap"] == pytest.approx(dE[1], rel=1e-12) and dE[1] > 16.0
 
     def test_banded_hamiltonians_stay_banded(self):
         ramp = RampSpec(0.1, 0.3, 2.0, steps=21, schedule="linear")

@@ -605,6 +605,46 @@ class TestGroundSector:
         assert np.array_equal(sector.psi0, dec.vectors[:, 0])
         assert np.array_equal(sector.levels, dec.eigenvalues)  # odd block: 2 levels, both kept
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(3, 60),
+        seed=st.integers(0, 10**6),
+        band_zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        count=st.sampled_from([3, 4, 100]),
+    )
+    def test_lowest_levels_match_the_full_block(self, dim, seed, band_zero_fraction, count):
+        op = HermitianOperator.parity_banded(*random_bands(dim, seed, band_zero_fraction))
+        full, part = spectral.ground_sector(op), spectral.ground_sector(op, count=count)
+        size = min(count, full.energies.size)
+        assert part.rows == full.rows and part.block == full.block
+        assert part.vectors.shape == (full.energies.size, size)
+        assert part.complete == (size == full.energies.size) and full.complete
+        tol = 128 * np.finfo(float).eps * max(np.linalg.norm(op.entries, 2), 1e-300)
+        assert np.abs(part.energies - full.energies[:size]).max() <= tol
+        assert np.abs(part.levels[:3] - full.levels[:3]).max() <= tol
+        # each vector is the full block's up to rounding, where its level is apart from the others
+        gaps = np.diff(full.energies)
+        apart = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))[:size] > 1e-3
+        assert np.abs(np.abs(part.vectors.T @ full.vectors[:, :size]).diagonal() - 1.0)[apart].max(
+            initial=0.0
+        ) <= 1e-8
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_fewer_than_three_levels_refused(self, count):
+        op = HermitianOperator.parity_banded(*random_bands(9, 0, 0.0))
+        with pytest.raises(ValueError, match=f"3 lowest levels, got count={count}"):
+            spectral.ground_sector(op, count=count)
+
+    def test_lowest_levels_of_a_dense_block(self):
+        # a dense block gives its lowest levels by one evr call
+        op = build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=4)).H
+        with dense_calls() as calls:
+            part = spectral.ground_sector(op, count=3)
+        assert calls == [(8, "evr", True), (8, "evr", False)]
+        full = spectral.ground_sector(op)
+        assert np.abs(part.energies - full.energies[:3]).max() <= 1e-12
+        assert abs(abs(part.psi0 @ full.psi0) - 1.0) <= 1e-12 and not part.complete
+
     @pytest.mark.parametrize("spec", [
         ModelSpec.effective("high", x=4.0, n_max=40),
         ModelSpec(family="lmg", omega=1.0, g=0.7, N=40),
