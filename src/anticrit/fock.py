@@ -1,8 +1,8 @@
 """Truncated single-mode bosonic operators and squeezed-vacuum states.
 
-The squeeze is built from the anti-Hermitian generator
-(xi/2)(adag^2 - a^2) and exponentiated spectrally, which keeps the
-construction exactly unitary on the truncated space.
+The squeezed vacuum's amplitudes follow a two-term recurrence; the state is
+its first n_max + 1 amplitudes, renormalized, once the top Fock levels are
+empty enough for the truncation to be harmless.
 """
 
 from __future__ import annotations
@@ -85,22 +85,25 @@ def squeezing_parameter(sector: Sector | str, x: float) -> SqueezingParameters:
 
 
 def squeeze_vacuum(xi: float, space: FockSpace) -> QuantumState:
-    """exp[(xi/2)(adag^2 - a^2)] |0>, unitary on the truncated space."""
-    a, adag = annihilation(space)
-    # G = (xi/2)(adag^2 - a^2) is anti-Hermitian; K = -iG is Hermitian.
-    K = -1j * (xi / 2.0) * (adag @ adag - a @ a)
-    vals, vecs = np.linalg.eigh(K)
-    vac = vecs.conj().T[:, 0]  # <k|0> for each eigenvector k
-    amps = vecs @ (np.exp(1j * vals) * vac)
-    top_population = float(np.abs(amps[-2:]) ** 2 @ np.ones(2))
+    """exp[(xi/2)(adag^2 - a^2)] |0> on the truncated space, renormalized.
+
+    The even amplitudes are c_0 = cosh(xi)^(-1/2) and c_{2m+2} = c_{2m}
+    tanh(xi) sqrt((2m+1)/(2m+2)), the odd ones 0. They are built from
+    c_0 = 1 and normalized, which cannot overflow at any xi, and are real,
+    with the vacuum amplitude positive. TruncationGuard when the top two
+    levels of the normalized state carry TRUNCATION_TOL or more.
+    """
+    m = np.arange(space.n_max // 2)
+    ratios = math.tanh(xi) * np.sqrt((2.0 * m + 1.0) / (2.0 * m + 2.0))
+    amps = np.zeros(space.dim)
+    amps[0::2] = np.cumprod(np.concatenate(([1.0], ratios)))
+    amps /= math.sqrt(amps @ amps)
+    top_population = float(amps[-2:] @ amps[-2:])
     if top_population >= TRUNCATION_TOL:
         raise TruncationGuard(
             f"top two Fock levels carry {top_population:.3e} >= {TRUNCATION_TOL:.0e} "
             f"(xi={xi}, n_max={space.n_max})"
         )
-    amps = amps / np.linalg.norm(amps)
-    # global phase: vacuum amplitude is real positive for any xi
-    amps = amps * (amps[0].conj() / abs(amps[0]))
     return QuantumState(amps, space.basis_label)
 
 

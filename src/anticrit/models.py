@@ -317,8 +317,8 @@ def truncation_weight(instance: ModelInstance, amps: np.ndarray) -> float:
         raise ValueError(f"no Fock truncation for family {instance.spec.family}")
     if instance.spec.family == "rabi_full":
         amps = amps.reshape(instance.spec.n_max + 1, 2)
-        return float(np.sum(np.abs(amps[-2:, :]) ** 2))
-    return float(np.sum(np.abs(amps[-2:]) ** 2))
+        return float((np.abs(amps[-2:, :]) ** 2).sum())
+    return float((np.abs(amps[-2:]) ** 2).sum())
 
 
 def enforce_truncation_bound(instance: ModelInstance, ground: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import _blas, models
-from .errors import ConvergenceGuard, DegeneracyGuard, GapGuard, StepGuard
+from .errors import ConvergenceGuard, DegeneracyGuard, GapGuard, StepGuard, TruncationGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
 from .spectral import (
@@ -30,6 +30,7 @@ from .spectral import (
     HermitianOperator,
     QuantumState,
     SpectralDecomposition,
+    block_levels,
     check_norm,
     energy_gap,
     ground_state,
@@ -256,8 +257,11 @@ def qfi_oscillator_evolution(
 
 def _trapezoids(ts: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The trapezoid areas of each column of y over the intervals of ts, in scipy's
-    operation order: dt (y[k+1] + y[k]) / 2."""
-    return np.diff(ts)[:, np.newaxis] * (y[1:] + y[:-1]) / 2.0
+    operation order: dt (y[k+1] + y[k]) / 2, in place on one temporary."""
+    areas = y[1:] + y[:-1]
+    areas *= np.diff(ts)[:, np.newaxis]
+    areas /= 2.0
+    return areas
 
 
 def _generator_value(
@@ -267,61 +271,75 @@ def _generator_value(
     theta = np.zeros_like(energies)
     theta[1:] = np.cumsum(_trapezoids(ts, energies), axis=0)
     phase = np.exp(1j * (theta[:, :1] - theta[:, 1:]))
-    integrals = np.sum(_trapezoids(ts, phase * elems[:, 1:]), axis=0)
+    phase *= elems[:, 1:]
+    integrals = np.sum(_trapezoids(ts, phase), axis=0)
     return float(4.0 * np.sum(np.abs(integrals) ** 2))
+
+
+def _relative_shift(fine: float, coarse: float) -> float:
+    """|fine - coarse| relative to the larger of the two, 0 when both are below 1e-10."""
+    scale = max(abs(fine), abs(coarse))
+    return abs(fine - coarse) / scale if scale > 1e-10 else 0.0
 
 
 def _ramp_steps(family: str, ramp: RampSpec, omega: float, n_max, N, count: int | None):
     """(energies, matrix elements, dropped weight, least gap) at each step of the ramp, from
     the lowest `count` levels of psi_0's block at each step (every level for None).
 
-    The matrix elements are <n|d_omega H|psi_0> in a real gauge that follows
-    the previous step. With b = d_omega H psi_0 on the block, e = V^T b and
-    r = b - V e, the dropped weight is ||r||^2, the weight of b on the
-    levels not solved. With `count`, None is returned once some step has
-    ||r||^2 > TERM_WEIGHT_CUTOFF (sum_{n>=1} e_n^2 + ||r||^2). A constant
-    ramp solves step 0 only and copies it.
+    Step 0 is ``models.ground_sector_converged``; it fixes psi_0's block and
+    n_max. Each later step solves that block alone (``spectral.block_levels``)
+    and certifies that no level of the other blocks lies below its E_0, or
+    raises GapGuard; a ground state that needs more than step 0's n_max
+    raises ConvergenceGuard. The matrix elements are <n|d_omega H|psi_0> in a
+    real gauge that follows the previous step. With b = d_omega H psi_0 on
+    the block, e = V^T b and r = b - V e, the dropped weight is ||r||^2, the
+    weight of b on the levels not solved. With `count`, None is returned once
+    some step has ||r||^2 > TERM_WEIGHT_CUTOFF (sum_{n>=1} e_n^2 + ||r||^2).
+    A constant ramp solves step 0 only and copies it.
     """
     xs = np.linspace(ramp.x_start, ramp.x_end, ramp.steps)
-    block = rows = dim = energies = elems = None
+    inst, sector = models.ground_sector_converged(
+        ModelSpec.at(family, float(xs[0]), omega, n_max=n_max, N=N), count
+    )
+    if inst.H.dtype.kind == "c":
+        raise ValueError("ramp requires a real-symmetric Hamiltonian family")
+    block, rows, n_max = sector.block, sector.rows, inst.spec.n_max
+    dH = inst.dH_domega.diagonal[rows]  # the same at every x
+    vals, vecs = sector.energies, sector.vectors
+    energies, elems = np.empty((ramp.steps, vals.size)), np.empty((ramp.steps, vals.size))
     dropped = np.zeros(ramp.steps)
+    partial = vecs.shape[1] < vecs.shape[0]  # some level of the block not solved
     min_gap = math.inf
-    prev_vecs = None
     for k, x in enumerate(xs[:1] if ramp.constant else xs):
-        spec = ModelSpec.at(family, float(x), omega, n_max=n_max, N=N)
-        # d_omega H keeps the ground state's block, so only its levels enter
-        inst, sector = models.ground_sector_converged(spec, count)
-        if inst.H.dtype.kind == "c":
-            raise ValueError("ramp requires a real-symmetric Hamiltonian family")
-        if dim is None:
-            block, rows, dim = sector.block, sector.rows, inst.H.dim
-            energies = np.empty((ramp.steps, sector.energies.size))
-            elems = np.empty((ramp.steps, sector.energies.size))
-        elif inst.H.dim != dim:
-            raise ConvergenceGuard(
-                "truncation level changed along the ramp; fix n_max explicitly"
-            )
-        elif sector.block != block:
-            raise GapGuard("the ground state changes parity along the ramp: its level crosses another")
-        vecs = sector.vectors
-        if prev_vecs is not None:
+        if k:
+            inst = models.build(ModelSpec.at(family, float(x), omega, n_max=n_max, N=N))
+            vals, vecs, below = block_levels(inst.H, block, count)
+            if below:
+                raise GapGuard("the ground state changes parity along the ramp: its level crosses another")
+            psi0 = np.zeros(inst.H.dim)
+            psi0[rows] = vecs[:, 0]
+            check_norm(psi0)
+            try:
+                models.enforce_truncation_bound(inst, psi0)
+            except TruncationGuard as guard:
+                raise ConvergenceGuard(
+                    "truncation level changed along the ramp; fix n_max explicitly"
+                ) from guard
             # real gauge with continuity: flip signs to follow the previous step
-            signs = np.sign(np.einsum("ij,ij->j", prev_vecs, vecs))
-            signs[signs == 0] = 1.0
-            vecs = vecs * signs[np.newaxis, :]
+            vecs = vecs * np.where(np.einsum("ij,ij->j", prev_vecs, vecs) < 0.0, -1.0, 1.0)
         prev_vecs = vecs
         # the gap inside psi_0's block: d_omega H couples psi_0 to no other block
-        gap = float(sector.energies[1] - sector.energies[0])
+        gap = float(vals[1] - vals[0])
         min_gap = min(min_gap, gap)
         if gap <= RAMP_GAP_TOL:
             raise GapGuard(f"instantaneous gap {gap:.3e} <= {RAMP_GAP_TOL:.0e} along ramp")
-        energies[k] = sector.energies
-        image = inst.dH_domega.diagonal[rows] * vecs[:, 0]
-        elems[k] = vecs.T @ image
-        if not sector.complete:
-            residual = image - vecs @ elems[k]
-            dropped[k] = residual @ residual
-            if dropped[k] > TERM_WEIGHT_CUTOFF * (elems[k, 1:] @ elems[k, 1:] + dropped[k]):
+        energies[k] = vals
+        image = dH * vecs[:, 0]
+        elems[k] = row = vecs.T @ image
+        if partial:
+            residual = image - vecs @ row
+            dropped[k] = weight = residual @ residual
+            if weight > TERM_WEIGHT_CUTOFF * (row[1:] @ row[1:] + weight):
                 return None
     if ramp.constant:
         energies[1:], elems[1:], dropped[1:] = energies[0], elems[0], dropped[0]
@@ -343,9 +361,13 @@ def qfi_adiabatic_generator(
     This is 4 Var(G) for G = i U^dag d_omega U exactly when H is constant.
     On a varying ramp it replaces U(t)|n(0)> by e^{-i theta_n}|n(t)>, which
     drops the diabatic part of the evolved state, so it is not 4 Var(G)
-    there. The integrals are composite trapezoids over the ramp's steps; the
-    reported ``step_halving_relative_shift`` compares them with every
-    other step and estimates the time-step error, it does not bound it.
+    there. The integrals are composite trapezoids over the ramp's steps. The
+    reported ``step_halving_relative_shift`` estimates the time-step error;
+    it does not bound it. It is the relative shift of the value against
+    every other step, or, when steps - 1 is a multiple of 4, the larger of
+    that and 1/4 of the shift of every other step against every fourth (the
+    trapezoid error is O(h^2)): a single pair's shift crosses zero at some
+    ramps where the error does not.
 
     On a parity-banded H (effective sectors, lmg), each step first solves
     only the lowest three levels of psi_0's block, and checks that
@@ -354,8 +376,10 @@ def qfi_adiabatic_generator(
     the two-quasiparticle level alone, so the check passes; should any step
     fail it, the whole ramp is solved again with every level. By
     Cauchy-Schwarz the levels dropped change the value by at most
-    ``dropped_bound`` = 4 T int ||r||^2 dt. A chain's dense blocks keep every
-    level.
+    ``dropped_bound`` = 4 T int ||r||^2 dt. Step 0 also finds psi_0's block.
+    Each later step solves that block alone and certifies, with one Sturm
+    count of the other block's levels below E_0, that psi_0 has not moved
+    to it. A chain's dense blocks keep every level.
     """
     chain = family in ("tfim", "tfim_transverse")
     if family == "rabi_full" or (chain and not ramp.constant):
@@ -381,8 +405,12 @@ def qfi_adiabatic_generator(
     }
     if check_convergence:
         coarse = _generator_value(ts[::2], energies[::2], elems[::2])
-        scale = max(abs(value), abs(coarse))
-        shift = abs(value - coarse) / scale if scale > 1e-10 else 0.0
+        shift = _relative_shift(value, coarse)
+        if (ramp.steps - 1) % 4 == 0:
+            # one pair's shift crosses zero at some ramps where the error does not; the
+            # next pair, every other step against every fourth, is 4x the O(h^2) error
+            coarser = _generator_value(ts[::4], energies[::4], elems[::4])
+            shift = max(shift, _relative_shift(coarse, coarser) / 4.0)
         diagnostics["step_halving_relative_shift"] = shift
         if shift > RAMP_CONVERGENCE_RTOL:
             raise ConvergenceGuard(

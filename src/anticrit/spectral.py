@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from . import _blas
 from .errors import BasisGuard, DimensionGuard, HermiticityViolation
 
 logger = logging.getLogger(__name__)
@@ -38,6 +39,7 @@ DEGENERACY_CLUSTER_TOL = 1e-9
 MAX_DIM = 2**14
 _HERMITICITY_TILE = 128
 _STEVD, _STEBZ, _STEIN = sla.get_lapack_funcs(("stevd", "stebz", "stein"), dtype=np.float64)
+_SAFE_MIN = float(np.finfo(np.float64).tiny)  # LAPACK's dlamch("S")
 
 
 def _freeze(arr) -> np.ndarray:
@@ -54,8 +56,9 @@ def _freeze(arr) -> np.ndarray:
 
 def _check_finite(*arrays) -> None:
     """ValueError, with scipy's message, when an array holds a NaN or an infinity."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("array must not contain infs or NaNs")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
 
 
 def _hermiticity_deviation(m: np.ndarray) -> tuple[float, float]:
@@ -176,8 +179,11 @@ class HermitianOperator:
 
 
 def check_norm(amplitudes: np.ndarray) -> None:
-    """ValueError when the amplitude vector's norm deviates from 1 beyond NORM_TOL."""
-    norm = np.linalg.norm(amplitudes)
+    """ValueError when the amplitude vector's norm deviates from 1 beyond NORM_TOL.
+
+    A real vector's norm is np.linalg.norm's, sqrt(v . v), without its wrapper.
+    """
+    norm = math.sqrt(amplitudes @ amplitudes) if amplitudes.dtype.kind == "f" else np.linalg.norm(amplitudes)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
 
@@ -318,7 +324,7 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, count: int | None = None, ve
         return w
     v, info = _STEIN(d, e, w, block, split)
     _lapack_info(info, "stein", "left {} eigenvectors unconverged")
-    order = np.argsort(w)  # stebz's "B" order is block by block
+    order = w.argsort()  # stebz's "B" order is block by block
     return w[order], v[:, order]
 
 
@@ -348,6 +354,28 @@ def _solve_block(block: tuple | np.ndarray, count: int | None = None, vectors: b
     subset = None if count is None else (0, min(count, len(block)) - 1)
     driver = "evd" if subset is None else "evr"
     return sla.eigh(block, eigvals_only=not vectors, subset_by_index=subset, driver=driver, check_finite=False)
+
+
+def _levels_below(block: tuple | np.ndarray, energy: float) -> int:
+    """The number of eigenvalues of a tridiagonal (d, e) or dense block strictly below `energy`.
+
+    A tridiagonal block takes one ``stebz`` call over (-inf, c], c the float
+    below energy - pivmin: its Sturm count reads a pivot within pivmin =
+    dlamch("S") max(1, max e_j^2) of zero as negative, so without the shift
+    a level equal to an `energy` of 0 would count. It bisects only the levels
+    it finds, none when the count is 0. A dense block takes ``evr`` by value.
+    """
+    if isinstance(block, tuple):
+        d, e = block
+        if d.size == 1:
+            return int(d[0] < energy)
+        pivmin = _SAFE_MIN * max(1.0, float(e @ e))  # at least stebz's own
+        upper = math.nextafter(energy - pivmin, -math.inf)
+        found, _, _, _, info = _STEBZ(d, e, 1, -math.inf, upper, 0, 0, 0.0, "E")
+        _lapack_info(info, "stebz")
+        return int(found)
+    upper = np.nextafter(energy, -np.inf)
+    return sla.eigh(block, eigvals_only=True, subset_by_value=(-np.inf, upper), driver="evr", check_finite=False).size
 
 
 def _solve_ground_block(blocks, index: int, count: int | None, other_count: int):
@@ -414,6 +442,7 @@ def _route(H: HermitianOperator, blocks) -> str:
     return f"{kind} blocks=" + "+".join(str(len(b[0]) if isinstance(b, tuple) else len(b)) for _, b in blocks)
 
 
+@_blas.single_thread()
 def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecomposition:
     """Full Hermitian solve with deterministic phase fixing.
 
@@ -431,6 +460,7 @@ def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecompositi
     return SpectralDecomposition(vals, vecs, basis)
 
 
+@_blas.single_thread()
 def ground_sector(H: HermitianOperator, basis: str = "", count: int | None = None) -> GroundSector:
     """The block of H that holds its ground state, in the gauge of :func:`eigendecompose`.
 
@@ -462,6 +492,7 @@ def ground_sector(H: HermitianOperator, basis: str = "", count: int | None = Non
     return GroundSector(vals, vecs, rows, index, levels, psi0, basis)
 
 
+@_blas.single_thread()
 def ground_state(H: HermitianOperator, block: int | None = None) -> tuple[float, float, np.ndarray]:
     """(E_0, E_1, ground state), the state in the gauge of :func:`eigendecompose`.
 
@@ -492,6 +523,26 @@ def ground_state(H: HermitianOperator, block: int | None = None) -> tuple[float,
             "ground_state dim=%d route=%s %s=%d gap=%.3e", H.dim, _route(H, blocks), label, block, e1 - e0
         )
     return float(e0), float(e1), psi
+
+
+def block_levels(H: HermitianOperator, block: int, count: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """(values, vectors, below): the lowest `count` eigenpairs (every one for None) of H's
+    block `block`, solved and phase-fixed as :func:`ground_sector` solves the ground
+    state's block, and the number of H's levels in its other blocks strictly below the
+    lowest value.
+
+    No other block is solved: each gives one count of its levels below E_0,
+    a Sturm count (one ``stebz`` call) on a tridiagonal block. A caller that
+    follows the ground state's block from a nearby H certifies with
+    ``below == 0`` that the block still holds the ground state. Unlike the
+    solves above it opens no one-BLAS-thread scope, which would cost about 4%
+    of a ramp step: its caller holds one (the ramp, once per ramp).
+    """
+    blocks = _blocks(H)[0]
+    vals, vecs = _solve_block(blocks[block][1], count)
+    vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
+    e0 = float(vals[0])
+    return vals, vecs, sum(_levels_below(other, e0) for k, (_, other) in enumerate(blocks) if k != block)
 
 
 def energy_gap(spec: SpectralDecomposition | GroundSector) -> float:

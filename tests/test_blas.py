@@ -10,11 +10,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from anticrit import _blas, qfi, spectral
+from anticrit import _blas, models, qfi, spectral
 from anticrit.cli import main
 from anticrit.errors import CriticalPointGuard
+from anticrit.models import ModelSpec
 from anticrit.sweep import SweepConfig, csv_text, run_sweep
 
 needs_control = pytest.mark.skipif(
@@ -75,6 +77,32 @@ def test_ramp_steps_solve_on_one_thread(two_threads):
     with patch:
         qfi.qfi_adiabatic_generator("effective_low", ramp, n_max=120)
     assert len(seen) >= 201
+    assert_one_thread(seen)
+    assert counts() == two_threads
+
+
+@needs_control
+def test_direct_solves_do_not_depend_on_the_thread_count(two_threads):
+    # a library call outside every outer scope: spectral's solves open their own
+    spec = ModelSpec.at("tfim", 25.0, N=10)
+    patch, seen = solve_counts()
+    with patch:
+        direct = models.ground_sector_converged(spec)[1]
+    assert_one_thread(seen)
+    assert counts() == two_threads
+    with _blas.single_thread():
+        scoped = models.ground_sector_converged(spec)[1]
+    for name in ("energies", "vectors", "levels", "psi0"):
+        assert np.array_equal(getattr(direct, name), getattr(scoped, name)), name
+
+
+@needs_control
+@pytest.mark.parametrize("solve", ["eigendecompose", "ground_sector", "ground_state"])
+def test_each_spectral_solve_runs_on_one_thread(solve, two_threads):
+    H = models.build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=4)).H
+    patch, seen = solve_counts()
+    with patch:
+        getattr(spectral, solve)(H)
     assert_one_thread(seen)
     assert counts() == two_threads
 

@@ -102,6 +102,25 @@ class TestSqueezeVacuum:
         with pytest.raises(TruncationGuard):
             squeeze_vacuum(2.5, FockSpace(10))
 
+    @pytest.mark.parametrize("xi", [-1.5, 0.576, 1.2])
+    def test_matches_the_exponentiated_generator(self, xi):
+        # exp[(xi/2)(adag^2 - a^2)] |0> by a spectral exponential on twice the space, where
+        # truncating the generator does not reach the levels compared
+        small, big = FockSpace(300), FockSpace(600)
+        a, adag = annihilation(big)
+        vals, vecs = np.linalg.eigh(-1j * (xi / 2.0) * (adag @ adag - a @ a))
+        reference = (vecs @ (np.exp(1j * vals) * vecs[0].conj()))[: small.dim]
+        reference *= abs(reference[0]) / reference[0] / np.linalg.norm(reference)
+        st = squeeze_vacuum(xi, small)
+        assert st.amplitudes.dtype == np.float64 and st.amplitudes[0] > 0.0
+        assert np.abs(st.amplitudes - reference).max() <= 1e-14
+
+    @pytest.mark.parametrize("xi", [30.0, -800.0])
+    def test_far_out_of_the_space_guarded(self, xi):
+        # almost all of the state lies above n_max; cosh(800) overflows a float
+        with pytest.raises(TruncationGuard):
+            squeeze_vacuum(xi, FockSpace(300))
+
     def test_doubling_stability(self):
         xi = 0.55
         n1 = expectation(number_operator(FockSpace(150)), squeeze_vacuum(xi, FockSpace(150)))

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anticrit import spectral
@@ -735,6 +735,63 @@ class TestDiagonalOperator:
         inst = build(ModelSpec.effective("low", x=0.7))
         v0 = eigendecompose(inst.H).vectors[:, 0]
         assert np.array_equal(inst.dH_domega.diagonal * v0, inst.dH_domega.entries @ v0)
+
+
+def tridiagonal_dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+class TestBlockLevels:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        energy=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        ties=st.integers(0, 2),
+    )
+    def test_levels_below_match_eigvalsh(self, dim, seed, zero_fraction, energy, ties):
+        # `ties` levels equal to the energy exactly, as 1 x 1 blocks split off by zero
+        # couplings, are not below it, also at an energy of 0
+        rng = np.random.default_rng(seed)
+        d, e = rng.normal(size=dim), rng.normal(size=dim - 1)
+        e[rng.random(dim - 1) < zero_fraction] = 0.0
+        w = np.linalg.eigvalsh(tridiagonal_dense(d, e))
+        assume(np.all(np.abs(w - energy) > 1e-9 * (1.0 + np.abs(w).max())))
+        expected = int(np.count_nonzero(w < energy))
+        tied = np.append(d, [energy] * ties), np.append(e, [0.0] * ties)
+        assert spectral._levels_below(tied, energy) == expected
+        assert spectral._levels_below(tridiagonal_dense(d, e), energy) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(3, 60),
+        seed=st.integers(0, 10**6),
+        band_zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        count=st.sampled_from([3, None]),
+    )
+    def test_ground_block_as_ground_sector_solves_it(self, dim, seed, band_zero_fraction, count):
+        op = HermitianOperator.parity_banded(*random_bands(dim, seed, band_zero_fraction))
+        sector = spectral.ground_sector(op, count=count)
+        vals, vecs, below = spectral.block_levels(op, sector.block, count)
+        assert np.array_equal(vals, sector.energies) and np.array_equal(vecs, sector.vectors)
+        assert below == 0
+        # the other block counts the ground block's levels below its own lowest
+        other = 1 - sector.block
+        ground_levels = np.linalg.eigvalsh(op.entries[sector.rows, sector.rows])
+        vals, _, below = spectral.block_levels(op, other, count)
+        assume(np.all(np.abs(ground_levels - vals[0]) > 1e-9 * (1.0 + np.abs(ground_levels).max())))
+        assert below == np.count_nonzero(ground_levels < vals[0]) >= 1
+
+    def test_dense_blocks(self):
+        op = build(ModelSpec(family="tfim", omega=1.0, g=0.7, N=4)).H
+        sector = spectral.ground_sector(op)
+        with dense_calls() as calls:
+            vals, vecs, below = spectral.block_levels(op, sector.block)
+        assert calls == [(8, "evd", True), (8, "evr", False)] and below == 0
+        assert np.array_equal(vals, sector.energies) and np.array_equal(vecs, sector.vectors)
+        vals, _, below = spectral.block_levels(op, 1 - sector.block)
+        assert below == np.count_nonzero(sector.energies < vals[0]) >= 1
 
 
 def block_diagonal(sizes, singles, seed, complex_, repeat):
