@@ -55,7 +55,7 @@ class QfiResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:  # NaN too
             raise ValueError(f"QFI must be non-negative, got {self.value}")
 
 
@@ -70,7 +70,7 @@ class RampSpec:
     schedule: str = "linear"
 
     def __post_init__(self):
-        if self.T < 0:
+        if not self.T >= 0:  # NaN too
             raise ValueError(f"ramp time must be >= 0, got {self.T}")
         if self.steps < 10:
             raise ValueError(f"steps must be >= 10, got {self.steps}")
@@ -180,10 +180,13 @@ def qfi_state_fd(
     psi_0's block with a gap above the tolerance, and each point solves that
     block's lowest eigenpair only. Otherwise, or when the centre is a full
     decomposition (which names no block), each point solves E_0, E_1 and
-    psi_0 over every block.
+    psi_0 over every block. A `d_omega` that is not finite, or that leaves
+    omega +/- d_omega / 2 equal to omega, raises ValueError.
     """
     if d_omega is None:
         d_omega = FD_STEP_FRACTION * spec.omega
+    if not math.isfinite(d_omega) or spec.omega in (spec.omega + d_omega / 2.0, spec.omega - d_omega / 2.0):
+        raise ValueError(f"d_omega must be finite and move omega = {spec.omega!r} at half its size, got {d_omega!r}")
     if centre is None:
         centre = models.ground_sector_converged(spec)
     inst, dec = centre
@@ -235,7 +238,7 @@ def qfi_state_fd(
 
 def qfi_phase_imprint(state: QuantumState, n_op: HermitianOperator, t: float) -> QfiResult:
     """Free evolution under omega*n for time t: 4 t^2 Var(n)."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError(f"evolution time must be >= 0, got {t}")
     var = variance(n_op, state)
     return QfiResult(max(4.0 * t**2 * var, 0.0), "phase_imprint", {"variance": var, "t": t})
@@ -245,7 +248,7 @@ def qfi_oscillator_evolution(
     var_c: float, t: float, sector: Sector | str, omega: float, x: float
 ) -> QfiResult:
     """4 t^2 Var(c^dag c) (d_omega effective frequency)^2."""
-    if var_c < 0 or t < 0:
+    if not (var_c >= 0 and t >= 0):  # NaN too
         raise ValueError("var_c and t must be >= 0")
     factor = models.frequency_derivative_factor(sector, x)
     return QfiResult(

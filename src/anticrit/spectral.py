@@ -5,18 +5,19 @@ through :func:`eigendecompose`, which fixes eigenvector phases so that
 repeated runs on the same machine produce bit-identical output;
 :func:`ground_sector` solves only the block that holds the ground state,
 and :func:`ground_state` only E_0, E_1 and the ground state. Every
-operator says which blocks it has, and every solve goes block by block: a
-parity-banded operator, which couples each index only to itself and its
-neighbours at distance 2, has two tridiagonal blocks (even and odd
-indices); an operator built with :meth:`HermitianOperator.block_diagonal`
-has the dense blocks it was built from; any other dense matrix is one block.
+operator is held as its blocks, and every solve, product and dense matrix
+goes block by block: a parity-banded operator, which couples each index
+only to itself and its neighbours at distance 2, is held as two
+tridiagonal blocks (even and odd indices); an operator built with
+:meth:`HermitianOperator.block_diagonal` as the dense blocks it was built
+from; any other dense matrix as one dense block over every row.
 
 A tridiagonal block goes straight to LAPACK's float64 drivers: ``stevd``
 for every eigenpair, ``stebz`` (then ``stein`` for vectors) for the lowest
 few. These are the calls ``scipy.linalg.eigh_tridiagonal`` makes with its
-default driver, bit for bit, without its per-call input checks: a banded
-operator's bands are checked finite once, when it is built. A dense block
-takes ``evd`` for every eigenpair and ``evr`` for the lowest few.
+default driver, bit for bit, without its per-call input checks: a
+tridiagonal block is checked finite once, when its operator is built. A
+dense block takes ``evd`` for every eigenpair and ``evr`` for the lowest few.
 """
 
 from __future__ import annotations
@@ -96,23 +97,27 @@ def _checked(entries) -> np.ndarray:
 
 
 class HermitianOperator:
-    """Immutable Hermitian matrix (energies in units of omega unless stated).
+    """Immutable Hermitian matrix (energies in units of omega unless stated), held as its blocks.
 
-    ``HermitianOperator(m)`` freezes a dense m once its entries are finite
-    and it passes the Hermiticity check. ``parity_banded(diag, lower)``
-    stores only the two bands of a real symmetric matrix whose nonzeros lie
-    on diagonals 0 and +/-2, and ``from_diagonal(diag)`` a diagonal matrix as
-    such bands; ``block_diagonal(rows, blocks)`` stores only the dense blocks
-    of a matrix that couples no two of its sets of rows. Their ``entries``
-    are built on first use, once.
+    ``blocks`` is a tuple of ``(rows, block)`` pairs: the rows partition the
+    indices, the matrix couples no two of them, and each block is a symmetric
+    tridiagonal ``(d, e)`` pair (diagonal, off-diagonal) or a dense read-only
+    array. ``HermitianOperator(m)`` freezes a dense m, once its entries are
+    finite and it passes the Hermiticity check, as one block over every row.
+    ``parity_banded(diag, lower)`` holds a real symmetric matrix whose
+    nonzeros lie on diagonals 0 and +/-2 as its even and odd tridiagonal
+    blocks, and ``from_diagonal(diag)`` a diagonal matrix the same way.
+    ``block_diagonal(rows, blocks)`` holds the dense blocks it is given.
+    ``diagonal`` is stored once, read-only; ``entries``, the dense matrix, is
+    built from the blocks on first use, once.
     """
 
     def __init__(self, entries):
         m = _checked(entries)
-        self._hold(m, None, None, m.shape[0], m.dtype)
+        self._hold(((slice(None), m),), np.diagonal(m), m.dtype, m)
 
-    def _hold(self, entries, bands, blocks, dim: int, dtype: np.dtype) -> HermitianOperator:
-        self.__dict__.update(_entries=entries, bands=bands, blocks=blocks, dim=dim, dtype=dtype)
+    def _hold(self, blocks: tuple, diagonal: np.ndarray, dtype: np.dtype, entries=None) -> HermitianOperator:
+        self.__dict__.update(blocks=blocks, diagonal=diagonal, dim=diagonal.size, dtype=dtype, _entries=entries)
         return self
 
     @classmethod
@@ -126,7 +131,8 @@ class HermitianOperator:
                 f"bands of shapes {diag.shape} and {lower.shape} are not (n,) and (n - 2,), n >= 3"
             )
         _check_finite(diag, lower)
-        return cls.__new__(cls)._hold(None, (diag, lower), None, diag.size, diag.dtype)
+        even, odd = (diag[0::2], lower[0::2]), (diag[1::2], lower[1::2])
+        return cls.__new__(cls)._hold(((slice(0, None, 2), even), (slice(1, None, 2), odd)), diag, diag.dtype)
 
     @classmethod
     def from_diagonal(cls, diag) -> HermitianOperator:
@@ -150,7 +156,11 @@ class HermitianOperator:
         if dim < 1 or every.min() < 0 or np.any(np.bincount(every, minlength=dim) != 1):
             raise DimensionGuard(f"block rows do not partition 0..{dim - 1}")
         dtype = np.result_type(*(m.dtype for m in blocks))
-        return cls.__new__(cls)._hold(None, None, tuple(zip(rows, blocks)), dim, dtype)
+        diagonal = np.empty(dim, dtype=dtype)
+        for r, m in zip(rows, blocks):
+            diagonal[r] = np.diagonal(m)
+        diagonal.setflags(write=False)
+        return cls.__new__(cls)._hold(tuple(zip(rows, blocks)), diagonal, dtype)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HermitianOperator is immutable; cannot set {name!r}")
@@ -159,23 +169,18 @@ class HermitianOperator:
     def entries(self) -> np.ndarray:
         """The dense read-only matrix."""
         if self._entries is None:
-            if self.bands is not None:
-                diag, lower = self.bands
-                m = np.diag(diag)
-                i = np.arange(lower.size)
-                m[i + 2, i] = m[i, i + 2] = lower
-            else:
-                m = np.zeros((self.dim, self.dim), dtype=self.dtype)
-                for rows, block in self.blocks:
-                    m[np.ix_(rows, rows)] = block
+            m = np.zeros((self.dim, self.dim), dtype=self.dtype)
+            index = np.arange(self.dim)
+            for rows, block in self.blocks:
+                r = index[rows]
+                if isinstance(block, tuple):
+                    m[r, r] = block[0]
+                    m[r[1:], r[:-1]] = m[r[:-1], r[1:]] = block[1]
+                else:
+                    m[np.ix_(r, r)] = block
             m.setflags(write=False)
             object.__setattr__(self, "_entries", m)
         return self._entries
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The main diagonal, read-only; a banded operator's comes from its bands."""
-        return self.bands[0] if self.bands is not None else np.diagonal(self.entries)
 
 
 def check_norm(amplitudes: np.ndarray) -> None:
@@ -328,22 +333,19 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, count: int | None = None, ve
     return w[order], v[:, order]
 
 
-def _blocks(H: HermitianOperator) -> tuple[tuple, int]:
-    """(H's blocks as (rows, block), the index of the block holding H's smallest diagonal entry).
-
-    A banded H has its even and odd tridiagonal blocks as their (diagonal,
-    off-diagonal), a block operator its dense blocks, and a dense H is one block.
-    """
+def _solvable(H: HermitianOperator) -> tuple:
+    """H's blocks, refused by DimensionGuard when H is larger than MAX_DIM."""
     if H.dim > MAX_DIM:
         raise DimensionGuard(f"dim {H.dim} exceeds configured maximum {MAX_DIM}")
-    if H.bands is not None:
-        diag, lower = H.bands
-        blocks = (slice(0, None, 2), (diag[0::2], lower[0::2])), (slice(1, None, 2), (diag[1::2], lower[1::2]))
-        return blocks, int(diag.argmin()) % 2
-    if H.blocks is None:
-        return ((slice(None), H.entries),), 0
-    minima = [np.diagonal(block).real.min() for _, block in H.blocks]
-    return H.blocks, minima.index(min(minima))
+    return H.blocks
+
+
+def _blocks(H: HermitianOperator) -> tuple[tuple, int]:
+    """(H's blocks, the index of the block tried first for the ground state): the lowest-index
+    block with the smallest diagonal minimum."""
+    blocks = _solvable(H)
+    minima = [H.diagonal[rows].real.min() for rows, _ in blocks]
+    return blocks, minima.index(min(minima))
 
 
 def _solve_block(block: tuple | np.ndarray, count: int | None = None, vectors: bool = True):
@@ -421,24 +423,26 @@ def _merge_blocks(dim: int, dtype, solved) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply(A: HermitianOperator, v: np.ndarray) -> np.ndarray:
-    """A v, from A's bands or blocks when it has them."""
-    if A.bands is not None:
-        diag, lower = A.bands
-        out = diag * v
-        out[2:] += lower * v[:-2]
-        out[:-2] += lower * v[2:]
-        return out
-    if A.blocks is None:
-        return A.entries @ v
-    out = np.zeros(v.size, dtype=np.result_type(A.dtype, v))
+    """A v, block by block."""
+    if A.dim != v.size:
+        raise DimensionGuard(f"operator dim {A.dim} != state dim {v.size}")
+    out = np.empty(v.size, dtype=np.result_type(A.dtype, v))
     for rows, block in A.blocks:
-        out[rows] = block @ v[rows]
+        x = v[rows]
+        if isinstance(block, tuple):
+            d, e = block
+            y = d * x
+            y[1:] += e * x[:-1]
+            y[:-1] += e * x[1:]
+        else:
+            y = block @ x
+        out[rows] = y
     return out
 
 
-def _route(H: HermitianOperator, blocks) -> str:
-    """The DEBUG label of H's route and block sizes, as in "parity-tridiagonal blocks=6+5"."""
-    kind = "parity-tridiagonal" if H.bands is not None else "dense" if H.blocks is None else "blocks"
+def _route(blocks: tuple) -> str:
+    """The DEBUG label of a solve's blocks, their kind and sizes, as in "parity-tridiagonal blocks=6+5"."""
+    kind = "parity-tridiagonal" if isinstance(blocks[0][1], tuple) else "blocks" if len(blocks) > 1 else "dense"
     return f"{kind} blocks=" + "+".join(str(len(b[0]) if isinstance(b, tuple) else len(b)) for _, b in blocks)
 
 
@@ -449,13 +453,13 @@ def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecompositi
     Each block of H takes one call, ``stevd`` for a tridiagonal block and
     ``evd`` for a dense one, and their eigenpairs are merged in ascending order.
     """
-    blocks = _blocks(H)[0]
+    blocks = _solvable(H)
     vals, vecs = _merge_blocks(H.dim, H.dtype, [(rows, *_solve_block(block)) for rows, block in blocks])
     if logger.isEnabledFor(logging.DEBUG):
         v0 = vecs[:, 0]
         logger.debug(
             "eigendecompose dim=%d route=%s ground residual=%.3e",
-            H.dim, _route(H, blocks), np.linalg.norm(_apply(H, v0) - vals[0] * v0),
+            H.dim, _route(blocks), np.linalg.norm(_apply(H, v0) - vals[0] * v0),
         )
     return SpectralDecomposition(vals, vecs, basis)
 
@@ -487,7 +491,7 @@ def ground_sector(H: HermitianOperator, basis: str = "", count: int | None = Non
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "ground_sector dim=%d route=%s ground=%d gap=%.3e",
-            H.dim, _route(H, blocks), index, levels[1] - levels[0],
+            H.dim, _route(blocks), index, levels[1] - levels[0],
         )
     return GroundSector(vals, vecs, rows, index, levels, psi0, basis)
 
@@ -497,20 +501,21 @@ def ground_state(H: HermitianOperator, block: int | None = None) -> tuple[float,
     """(E_0, E_1, ground state), the state in the gauge of :func:`eigendecompose`.
 
     One block gives its two lowest levels and the ground vector, each other
-    block only its lowest level. The block tried first holds H's smallest
-    diagonal entry; should another block's level lie lower, that block gives
-    the vector instead.
+    block only its lowest level. The block tried first is the lowest-index
+    block with the smallest diagonal minimum; should another block's level
+    lie lower, that block gives the vector instead.
 
     With `block` (an index into H's blocks), only that block's lowest
     eigenpair is solved: for a caller that has certified the ground state
     lies there with a gap above its tolerance. E_1 is then not solved, and
     is inf.
     """
-    blocks, first = _blocks(H)
     if block is not None:
+        blocks = _solvable(H)
         vals, vecs = _solve_block(blocks[block][1], 1)
         e0, e1, label = vals[0], math.inf, "certified"
     else:
+        blocks, first = _blocks(H)
         block, vals, vecs, other = _solve_ground_block(blocks, first, 2, 1)
         levels = np.concatenate((vals, other))
         if levels.size < 2:
@@ -520,7 +525,7 @@ def ground_state(H: HermitianOperator, block: int | None = None) -> tuple[float,
     psi[blocks[block][0]] = _fix_phases(vecs[:, :1])[:, 0]
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "ground_state dim=%d route=%s %s=%d gap=%.3e", H.dim, _route(H, blocks), label, block, e1 - e0
+            "ground_state dim=%d route=%s %s=%d gap=%.3e", H.dim, _route(blocks), label, block, e1 - e0
         )
     return float(e0), float(e1), psi
 
@@ -538,7 +543,7 @@ def block_levels(H: HermitianOperator, block: int, count: int | None = None) -> 
     solves above it opens no one-BLAS-thread scope, which would cost about 4%
     of a ramp step: its caller holds one (the ramp, once per ramp).
     """
-    blocks = _blocks(H)[0]
+    blocks = _solvable(H)
     vals, vecs = _solve_block(blocks[block][1], count)
     vecs = _fix_phases(_orthonormalize_clusters(vals, vecs))
     e0 = float(vals[0])
@@ -553,21 +558,14 @@ def energy_gap(spec: SpectralDecomposition | GroundSector) -> float:
     return float(levels[1] - levels[0])
 
 
-def _image(A: HermitianOperator, s: QuantumState) -> np.ndarray:
-    """A s, from the bands or blocks when A has them."""
-    if A.dim != s.dim:
-        raise DimensionGuard(f"operator dim {A.dim} != state dim {s.dim}")
-    return _apply(A, s.amplitudes)
-
-
 def expectation(A: HermitianOperator, s: QuantumState) -> float:
     """Re <s|A|s>."""
-    return float(np.vdot(s.amplitudes, _image(A, s)).real)
+    return float(np.vdot(s.amplitudes, _apply(A, s.amplitudes)).real)
 
 
 def variance(A: HermitianOperator, s: QuantumState) -> float:
     """||(A - <A>) s||^2, non-negative by construction."""
-    return image_variance(s.amplitudes, _image(A, s))
+    return image_variance(s.amplitudes, _apply(A, s.amplitudes))
 
 
 def image_variance(psi: np.ndarray, image: np.ndarray) -> float:

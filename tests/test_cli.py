@@ -168,6 +168,26 @@ class TestNonFiniteX:
         assert run_cli(capsys, *argv) == (2, "", "error: array must not contain infs or NaNs\n")
 
 
+class TestNullOrNonFiniteStep:
+    """A step of zero, one that leaves omega unchanged, or a NaN time never prints a QFI."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("qfi", "--method", "state_fd", "--d-omega", "0"), "d_omega must be finite"),
+            (("qfi", "--method", "state_fd", "--d-omega", "1e-300"), "d_omega must be finite"),
+            (("qfi", "--method", "phase_imprint", "--t", "nan"), "evolution time must be >= 0, got nan"),
+            (("adiabatic", "--x-start", "0", "--x-end", "0.5", "--T", "nan"), "ramp time must be >= 0, got nan"),
+        ],
+        ids=["state_fd_zero", "state_fd_below_ulp", "phase_imprint_nan_t", "adiabatic_nan_T"],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        command, *rest = argv
+        point = ("--x", "0.5") if command == "qfi" else ()
+        code, out, err = run_cli(capsys, command, "--family", "effective_low", *point, *rest)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
+
 class TestSweepCommand:
     def test_stdout_grid(self, capsys):
         code, out, _ = run_cli(

@@ -169,7 +169,7 @@ class TestRabiParityBasis:
     def test_kron_build_permuted(self, n_max, g, omega, Omega):
         spec = ModelSpec(family="rabi_full", omega=omega, g=g, Omega=Omega, n_max=n_max)
         inst = build(spec)
-        assert inst.H.bands is not None
+        assert all(isinstance(block, tuple) for _, block in inst.H.blocks)  # (d, e) pairs
         permuted = np.empty_like(inst.H.entries)
         position = parity_position(n_max)
         permuted[np.ix_(position, position)] = kron_rabi(spec)
@@ -270,7 +270,7 @@ class TestBandedHamiltonians:
             sign = -1.0 if spec.sector is Sector.LOW else +1.0
             dense = spec.omega * nop + sign * spec.g**2 / (4.0 * spec.Omega) * q2
             H = build(spec).H
-            assert H.bands is not None
+            assert all(isinstance(block, tuple) for _, block in H.blocks)  # (d, e) pairs
             assert H.entries.tobytes() == dense.tobytes(), spec  # -0.0 and +0.0 told apart
 
     @pytest.mark.parametrize("N", [200, 2, 3, 40])
@@ -281,7 +281,7 @@ class TestBandedHamiltonians:
         for g in (0.0,) + sweep.SweepConfig(family="lmg").grid:
             dense = 1.0 * np.diag(m) - (g / N) * sx2
             H = build(ModelSpec(family="lmg", omega=1.0, g=g, N=N)).H
-            assert H.bands is not None
+            assert all(isinstance(block, tuple) for _, block in H.blocks)  # (d, e) pairs
             assert H.entries.tobytes() == dense.tobytes(), g
 
 

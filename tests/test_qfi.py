@@ -260,6 +260,32 @@ class TestOscillatorEvolution:
             16 * 100.0 / 36.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize("var_c,t", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    def test_nan_or_negative_refused(self, var_c, t):
+        with pytest.raises(ValueError, match="var_c and t must be >= 0"):
+            qfi_oscillator_evolution(var_c, t, "low", 1.0, 0.5)
+
+
+class TestNanRefused:
+    def test_result(self):
+        with pytest.raises(ValueError, match="QFI must be non-negative, got nan"):
+            qfi.QfiResult(math.nan, "spectral_sum")
+
+    def test_phase_imprint_time(self):
+        space = FockSpace(20)
+        with pytest.raises(ValueError, match="evolution time must be >= 0, got nan"):
+            qfi_phase_imprint(squeeze_vacuum(0.3, space), number_operator(space), math.nan)
+
+    def test_ramp_time(self):
+        with pytest.raises(ValueError, match="ramp time must be >= 0, got nan"):
+            RampSpec(0.0, 0.5, math.nan)
+
+    @pytest.mark.parametrize("d_omega", [0.0, 1e-300, -1e-17, math.nan, math.inf])
+    def test_state_fd_step(self, d_omega):
+        # omega +/- d_omega / 2 == omega for each finite step here: the difference would be 0 / 0 or 0
+        with pytest.raises(ValueError, match="d_omega must be finite and move omega"):
+            qfi_state_fd(ModelSpec.effective("low", x=0.5), d_omega=d_omega)
+
 
 class TestAdiabaticGenerator:
     @staticmethod

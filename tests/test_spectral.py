@@ -318,12 +318,13 @@ def random_bands(dim, seed, band_zero_fraction):
 
 @contextmanager
 def lazy_entries_spy():
-    """The operators built as bands or blocks whose dense `entries` are read inside the block."""
+    """The operators not built from a dense matrix whose dense `entries` are read inside the
+    block; an operator built from one holds that matrix as its one block."""
     read = []
     entries = HermitianOperator.entries
 
     def spy(op):
-        if op.bands is not None or op.blocks is not None:
+        if op.blocks[0][1] is not op._entries:
             read.append(op)
         return entries.fget(op)
 
@@ -343,13 +344,20 @@ class TestParityBandedOperator:
     def test_bands_copied(self):
         diag, band = random_bands(5, 2, 0.0)
         op = HermitianOperator.parity_banded(diag, band)
-        diag[0] = band[0] = 7.0
-        assert op.bands[0][0] != 7.0 and op.bands[1][0] != 7.0
+        expected = [(slice(p, None, 2), diag[p::2].copy(), band[p::2].copy()) for p in (0, 1)]
+        diag[:] = band[:] = 7.0
+        # held as its even and odd tridiagonal blocks, (diagonal, off-diagonal) pairs of copies
+        for (rows, block), (r, d, e) in zip(op.blocks, expected, strict=True):
+            assert rows == r and isinstance(block, tuple)
+            assert np.array_equal(block[0], d) and np.array_equal(block[1], e)
+        assert not np.any(op.diagonal == 7.0)
 
     def test_immutable(self):
         op = HermitianOperator.parity_banded(*random_bands(5, 3, 0.0))
         with pytest.raises(AttributeError):
-            op.bands = None
+            op.blocks = None
+        for _, (d, e) in op.blocks:
+            assert not d.flags.writeable and not e.flags.writeable
 
     @pytest.mark.parametrize(
         "diag,band",
@@ -701,7 +709,7 @@ class TestGroundSector:
 class TestDiagonalOperator:
     def test_held_as_bands(self):
         op = HermitianOperator.from_diagonal([3, -1, 2, 0])
-        assert op.bands is not None and not np.any(op.bands[1])
+        assert all(isinstance(block, tuple) and not np.any(block[1]) for _, block in op.blocks)
         assert np.array_equal(op.diagonal, [3.0, -1.0, 2.0, 0.0]) and op.diagonal.dtype == np.float64
         assert np.array_equal(op.entries, np.diag([3.0, -1.0, 2.0, 0.0]))
 
@@ -961,6 +969,66 @@ class TestBlockDiagonalOperator:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024 * 8  # one dense float64 1024 x 1024 matrix
+
+
+ONE_OF_EACH = {
+    "dense": lambda: random_hermitian(7, 11),
+    "parity_banded": lambda: HermitianOperator.parity_banded(*random_bands(9, 12, 0.3)),
+    "from_diagonal": lambda: HermitianOperator.from_diagonal([2.0, -1.0, 0.5, -0.0, 3.0]),
+    "block_diagonal": lambda: block_diagonal([3, 4], 2, 13, True, False),
+}
+
+
+class TestOneRepresentation:
+    """Every constructor holds its operator as (rows, block) pairs, and reads them alone."""
+
+    @pytest.mark.parametrize("make", ONE_OF_EACH.values(), ids=ONE_OF_EACH.keys())
+    def test_diagonal_is_stored_and_builds_no_entries(self, make):
+        with lazy_entries_spy() as read:
+            op = make()
+            diagonal = op.diagonal
+            assert op._entries is None or op._entries is op.blocks[0][1]  # only a given matrix
+        assert read == [] and not diagonal.flags.writeable
+        with pytest.raises(ValueError):
+            diagonal[0] = 1.0
+        dense = np.diagonal(op.entries)
+        assert diagonal.dtype == dense.dtype and diagonal.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("make", ONE_OF_EACH.values(), ids=ONE_OF_EACH.keys())
+    @pytest.mark.parametrize("seed", range(5))
+    def test_expectation_and_variance_match_the_dense_product(self, make, seed):
+        op = make()
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=op.dim) + (1j * rng.normal(size=op.dim) if seed % 2 else 0.0)
+        state = QuantumState(amps / np.linalg.norm(amps), "b")
+        with lazy_entries_spy() as read:
+            mean, var = expectation(op, state), variance(op, state)
+        assert read == []
+        m, psi = op.entries, state.amplitudes
+        image = m @ psi
+        residual = image - np.vdot(psi, image).real * psi
+        norm = np.linalg.norm(m, 2)
+        assert abs(mean - np.vdot(psi, image).real) <= 4 * np.finfo(float).eps * norm
+        assert abs(var - np.vdot(residual, residual).real) <= 4 * np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize(
+        "make,first,ground",
+        [
+            # an exact tie between blocks: the lower-index block, so psi_0 = e_2 rather than e_1
+            (lambda: HermitianOperator.from_diagonal([1, 0, 0]), 0, 2),
+            (lambda: HermitianOperator.from_diagonal([0, -1, 0, 2]), 1, 1),
+            (lambda: HermitianOperator.block_diagonal([[1, 3], [0], [2]], [np.eye(2), [[-1.0]], [[-1.0]]]), 1, 0),
+            (lambda: HermitianOperator(np.diag([3.0, 1.0, 2.0])), 0, 1),
+        ],
+        ids=["tie", "odd", "block_tie", "dense"],
+    )
+    def test_first_block_rule(self, make, first, ground):
+        # the lowest-index block with the smallest diagonal minimum is tried first
+        op = make()
+        assert spectral._blocks(op)[1] == first
+        e0, e1, psi = spectral.ground_state(op)
+        assert np.array_equal(psi, np.eye(op.dim)[ground]) and e0 == op.diagonal[ground]
+        assert spectral.ground_sector(op).block == first
 
 
 class TestEnergyGap:
