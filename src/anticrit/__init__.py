@@ -10,7 +10,6 @@ from .errors import (  # noqa: F401
     DimensionGuard,
     GapGuard,
     HermiticityViolation,
-    IndexGuard,
     NumericalGuard,
     StepGuard,
     TruncationGuard,

@@ -1,11 +1,12 @@
-"""One BLAS thread per unit of work.
+"""One BLAS thread for the LAPACK calls whose rounding depends on the thread count.
 
 numpy and scipy wheels each load their own OpenBLAS from ``numpy.libs/`` and
-``scipy.libs/``, and each runtime keeps its own thread count. On a few cores
-a second thread spins between the calls of a sweep row or a ramp step and
-makes a row's floating-point sums depend on the count. ``single_thread``
-sets every runtime found to one thread for a block and restores the caller's
-counts when the block exits, also by an exception; parallelism comes from
+``scipy.libs/``, and each runtime keeps its own thread count. Level-3 BLAS
+splits its sums over the threads, so a LAPACK driver built on it (``stevd``,
+scipy's dense ``eigh``) returns other bits at two threads than at one.
+``single_thread`` sets every runtime found to one thread for a block and
+restores the caller's counts when the block exits, also by an exception;
+``spectral`` enters it around those calls alone, and parallelism comes from
 ``sweep --jobs`` instead. A block entered inside another changes nothing.
 Where no OpenBLAS control is found (MKL, Accelerate, a system OpenBLAS), the
 block runs as it is.
@@ -48,7 +49,7 @@ CONTROLS = _find_controls()
 
 @contextlib.contextmanager
 def single_thread():
-    """Run the block with every OpenBLAS control at one thread; usable as a decorator."""
+    """Run the block with every OpenBLAS control at one thread."""
     changed = [(set_, count) for get, set_ in CONTROLS if (count := get()) != 1]
     for set_, _ in changed:
         set_(1)

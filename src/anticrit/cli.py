@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 validation/usage errors, 3 numerical guard
-refusals in single-evaluation mode. Every number printed here is
-produced by the library; the CLI does no arithmetic of its own.
+Exit codes: 0 success, 2 validation/usage errors (a number that overflows
+the arithmetic included), 3 numerical guard refusals in single-evaluation
+mode. Every number printed here is produced by the library; the CLI does
+no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, _blas, fock, models, qfi, spectral, sweep
+from . import __version__, fock, models, qfi, spectral, sweep
 from .errors import NumericalGuard
 from .fock import Sector
 from .models import ModelSpec
@@ -128,7 +129,6 @@ def _print_result(result: qfi.QfiResult, verbose: bool) -> None:
             print(f"{key}={value}")
 
 
-@_blas.single_thread()
 def _cmd_qfi(args) -> int:
     spec = _model_spec(args)  # x from --g (and --Omega) when given, for every method
     if args.method == "analytic":
@@ -151,7 +151,6 @@ def _cmd_qfi(args) -> int:
     return EXIT_OK
 
 
-@_blas.single_thread()
 def _cmd_gap(args) -> int:
     _, dec = models.diagonalize_converged(_model_spec(args))
     gap = spectral.energy_gap(dec)
@@ -196,7 +195,6 @@ def _cmd_adiabatic(args) -> int:
     return EXIT_OK
 
 
-@_blas.single_thread()
 def _cmd_converge(args) -> int:
     levels = [int(v) for v in args.levels.split(",") if v.strip()]
     rows = sweep.convergence_report(args.family, args.omega, args.x, levels)
@@ -324,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalGuard as guard:
         print(f"{type(guard).__name__}: {guard}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

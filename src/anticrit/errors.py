@@ -21,10 +21,6 @@ class BasisGuard(NumericalGuard):
     """Two states live in different labeled bases."""
 
 
-class IndexGuard(NumericalGuard):
-    """Site index outside the chain."""
-
-
 class CriticalPointGuard(NumericalGuard):
     """Low-sector coupling at or beyond the critical point: gap closed."""
 

@@ -49,12 +49,6 @@ class FockSpace:
         return f"fock({self.n_max})"
 
 
-def annihilation(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(a, adag) with <n-1|a|n> = sqrt(n)."""
-    a = np.diag(np.sqrt(np.arange(1.0, space.dim)), k=1)
-    return a, a.T.copy()
-
-
 @lru_cache(maxsize=8)
 def number_operator(space: FockSpace) -> HermitianOperator:
     """n = adag a, held as its diagonal, once per truncation."""

@@ -58,7 +58,9 @@ def _family_defaults(family: str, omega: float, Omega, N, n_max) -> tuple:
 class ModelSpec:
     """One point of a model family; x = g^2/g_c^2 is always derived.
 
-    Omega, N and n_max left at None take the family's default.
+    Omega, N and n_max left at None take the family's default. An infinite
+    omega, g or Omega raises ValueError naming it; a NaN is refused when H is
+    built.
     """
 
     family: str
@@ -69,6 +71,10 @@ class ModelSpec:
     n_max: int | None = None
 
     def __post_init__(self):
+        for name in ("omega", "Omega", "g"):
+            value = getattr(self, name)
+            if value is not None and math.isinf(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         defaults = _family_defaults(self.family, self.omega, self.Omega, self.N, self.n_max)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
@@ -334,13 +340,10 @@ def enforce_truncation_bound(instance: ModelInstance, ground: np.ndarray) -> Non
         )
 
 
-def ground_decomposition(
-    instance: ModelInstance, check_truncation: bool = True
-) -> SpectralDecomposition:
+def ground_decomposition(instance: ModelInstance) -> SpectralDecomposition:
     """Diagonalize and, for bosonic families, enforce the truncation bound."""
     dec = eigendecompose(instance.H, basis=instance.basis)
-    if check_truncation:
-        enforce_truncation_bound(instance, dec.eigenvector(0).amplitudes)
+    enforce_truncation_bound(instance, dec.eigenvector(0).amplitudes)
     return dec
 
 

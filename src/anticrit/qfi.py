@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from . import _blas, models
+from . import models
 from .errors import ConvergenceGuard, DegeneracyGuard, GapGuard, StepGuard, TruncationGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
@@ -72,6 +72,8 @@ class RampSpec:
     def __post_init__(self):
         if not self.T >= 0:  # NaN too
             raise ValueError(f"ramp time must be >= 0, got {self.T}")
+        if self.T == math.inf:
+            raise ValueError("ramp time must be finite, got inf")
         if self.steps < 10:
             raise ValueError(f"steps must be >= 10, got {self.steps}")
         if self.schedule not in ("linear", "constant"):
@@ -349,7 +351,6 @@ def _ramp_steps(family: str, ramp: RampSpec, omega: float, n_max, N, count: int 
     return energies, elems, dropped, min_gap
 
 
-@_blas.single_thread()  # one scope per ramp, not per step
 def qfi_adiabatic_generator(
     family: str,
     ramp: RampSpec,

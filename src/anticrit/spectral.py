@@ -18,6 +18,16 @@ few. These are the calls ``scipy.linalg.eigh_tridiagonal`` makes with its
 default driver, bit for bit, without its per-call input checks: a
 tridiagonal block is checked finite once, when its operator is built. A
 dense block takes ``evd`` for every eigenpair and ``evr`` for the lowest few.
+
+``stevd`` and the dense ``eigh`` run on one BLAS thread (``_blas``), and
+nothing else here does: they call level-3 BLAS (``stevd`` in its
+divide-and-conquer merges), whose rounding depends on the thread count, so
+at two threads a block of a few hundred levels gets other eigenvector bits.
+``stebz`` and ``stein`` call level-1 BLAS only and give the same bits at any
+count. Every caller thus gets the same bits whatever its own thread count,
+which is restored when each call returns or raises; one exception is a
+cluster of about 200 or more degenerate levels, whose QR (numpy's, at the
+caller's count) can change its vectors' last bits.
 """
 
 from __future__ import annotations
@@ -317,7 +327,8 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, count: int | None = None, ve
         w = np.array([d[0]])
         return (w, np.ones((1, 1))) if vectors else w
     if count is None:
-        w, v, info = _STEVD(d, e, compute_v=vectors)
+        with _blas.single_thread():
+            w, v, info = _STEVD(d, e, compute_v=vectors)
         _lapack_info(info, "stevd")
         return (w, v) if vectors else w
     m, w, block, split, info = _STEBZ(
@@ -348,6 +359,13 @@ def _blocks(H: HermitianOperator) -> tuple[tuple, int]:
     return blocks, minima.index(min(minima))
 
 
+def _eigh_dense(block: np.ndarray, **kwargs):
+    """scipy's ``eigh`` of a dense block (finite: checked when its operator was built), on one
+    BLAS thread."""
+    with _blas.single_thread():
+        return sla.eigh(block, check_finite=False, **kwargs)
+
+
 def _solve_block(block: tuple | np.ndarray, count: int | None = None, vectors: bool = True):
     """Ascending eigenvalues of a tridiagonal (d, e) or dense block, with their vectors if
     asked for: every one, or the lowest `count` (fewer if the block is smaller)."""
@@ -355,7 +373,7 @@ def _solve_block(block: tuple | np.ndarray, count: int | None = None, vectors: b
         return _eigh_tridiagonal(*block, count, vectors)
     subset = None if count is None else (0, min(count, len(block)) - 1)
     driver = "evd" if subset is None else "evr"
-    return sla.eigh(block, eigvals_only=not vectors, subset_by_index=subset, driver=driver, check_finite=False)
+    return _eigh_dense(block, eigvals_only=not vectors, subset_by_index=subset, driver=driver)
 
 
 def _levels_below(block: tuple | np.ndarray, energy: float) -> int:
@@ -377,7 +395,7 @@ def _levels_below(block: tuple | np.ndarray, energy: float) -> int:
         _lapack_info(info, "stebz")
         return int(found)
     upper = np.nextafter(energy, -np.inf)
-    return sla.eigh(block, eigvals_only=True, subset_by_value=(-np.inf, upper), driver="evr", check_finite=False).size
+    return _eigh_dense(block, eigvals_only=True, subset_by_value=(-np.inf, upper), driver="evr").size
 
 
 def _solve_ground_block(blocks, index: int, count: int | None, other_count: int):
@@ -446,7 +464,6 @@ def _route(blocks: tuple) -> str:
     return f"{kind} blocks=" + "+".join(str(len(b[0]) if isinstance(b, tuple) else len(b)) for _, b in blocks)
 
 
-@_blas.single_thread()
 def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecomposition:
     """Full Hermitian solve with deterministic phase fixing.
 
@@ -464,7 +481,6 @@ def eigendecompose(H: HermitianOperator, basis: str = "") -> SpectralDecompositi
     return SpectralDecomposition(vals, vecs, basis)
 
 
-@_blas.single_thread()
 def ground_sector(H: HermitianOperator, basis: str = "", count: int | None = None) -> GroundSector:
     """The block of H that holds its ground state, in the gauge of :func:`eigendecompose`.
 
@@ -496,7 +512,6 @@ def ground_sector(H: HermitianOperator, basis: str = "", count: int | None = Non
     return GroundSector(vals, vecs, rows, index, levels, psi0, basis)
 
 
-@_blas.single_thread()
 def ground_state(H: HermitianOperator, block: int | None = None) -> tuple[float, float, np.ndarray]:
     """(E_0, E_1, ground state), the state in the gauge of :func:`eigendecompose`.
 
@@ -539,9 +554,7 @@ def block_levels(H: HermitianOperator, block: int, count: int | None = None) -> 
     No other block is solved: each gives one count of its levels below E_0,
     a Sturm count (one ``stebz`` call) on a tridiagonal block. A caller that
     follows the ground state's block from a nearby H certifies with
-    ``below == 0`` that the block still holds the ground state. Unlike the
-    solves above it opens no one-BLAS-thread scope, which would cost about 4%
-    of a ramp step: its caller holds one (the ramp, once per ramp).
+    ``below == 0`` that the block still holds the ground state.
     """
     blocks = _solvable(H)
     vals, vecs = _solve_block(blocks[block][1], count)

@@ -1,5 +1,5 @@
-"""Collective spin in the Dicke subspace from its ladder band, spin-chain site
-Paulis, and the chain's total spin applied to a state by bit flips.
+"""Collective spin in the Dicke subspace from its ladder band, and the spin
+chain's bit table and total spin applied to a state by bit flips.
 
 Chain basis convention: product states are indexed by bit patterns with
 site 1 as the least significant bit; bit i = 1 means spin i up.
@@ -10,16 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import IndexGuard
-from .spectral import HermitianOperator
-
-# single-site Paulis in (down, up) ordering so that bit value 1 <-> spin up
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]]),
-    "z": np.array([[-1.0, 0.0], [0.0, 1.0]]),
-}
 
 CHAIN_N_MIN = 3
 CHAIN_N_MAX = 12
@@ -80,17 +70,6 @@ def apply_collective_spin(
     up = np.concatenate(([0.0], raising * psi[:-1]))  # S_+ psi
     down = np.concatenate((raising * psi[1:], [0.0]))  # S_- psi
     return 0.5 * (up + down), -0.5j * (up - down), m * psi
-
-
-def site_pauli(basis: ChainBasis, site: int, axis: str) -> HermitianOperator:
-    """sigma_axis acting on one site, identity elsewhere."""
-    if not 1 <= site <= basis.N:
-        raise IndexGuard(f"site {site} outside 1..{basis.N}")
-    if axis not in _PAULI:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    left = np.eye(2 ** (basis.N - site))
-    right = np.eye(2 ** (site - 1))
-    return HermitianOperator(np.kron(left, np.kron(_PAULI[axis], right)))
 
 
 def chain_bits(basis: ChainBasis) -> tuple[np.ndarray, np.ndarray]:

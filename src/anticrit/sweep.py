@@ -16,11 +16,11 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import __version__, _blas, fock, models, qfi
+from . import __version__, fock, models, qfi
 from .errors import NumericalGuard
 from .fock import Sector, squeezing_parameter
 from .models import ModelInstance, ModelSpec
-from .spectral import GroundSector, energy_gap, expectation, image_variance
+from .spectral import GroundSector, eigendecompose, energy_gap, expectation, image_variance
 from .spin import ChainBasis, DickeBasis, apply_collective_spin, apply_total_spin
 
 LOW_SECTOR_EXCLUSION = 1e-3  # half-width of the window dropped around x = 1
@@ -88,6 +88,8 @@ def default_grid(family: str) -> tuple[float, ...]:
 def grid_from_range(start: float, stop: float, count: int) -> tuple[float, ...]:
     if count < 2:
         raise ValueError(f"range grids need count >= 2, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"range grids need finite ends, got {start}:{stop}")
     return tuple(np.linspace(start, stop, count))
 
 
@@ -148,7 +150,6 @@ def _fill_qfi_cells(
     row["qfi_times_gap"], row["qfi_times_gap_sq"] = qfi.normalized_metrics(spectral, row["gap01"])
 
 
-@_blas.single_thread()
 def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
     """Signed axis: low sector for x_signed >= 0, high for x_signed < 0."""
     sector = Sector.LOW if x_signed >= 0 else Sector.HIGH
@@ -173,7 +174,6 @@ def _effective_row(config: SweepConfig, x_signed: float) -> dict[str, Any]:
     return row
 
 
-@_blas.single_thread()
 def _spin_row(config: SweepConfig, g_over_gc: float) -> dict[str, Any]:
     row: dict[str, Any] = {
         "g_over_gc": g_over_gc,
@@ -238,7 +238,7 @@ def convergence_report(
     previous = None
     for level in levels:
         inst = models.build(ModelSpec.at(family, x, omega, n_max=level))
-        dec = models.ground_decomposition(inst, check_truncation=False)
+        dec = eigendecompose(inst.H, basis=inst.basis)
         ground = dec.eigenvector(0)
         row = {
             "n_max": float(level),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,28 @@ class TestNullOrNonFiniteStep:
         point = ("--x", "0.5") if command == "qfi" else ()
         code, out, err = run_cli(capsys, command, "--family", "effective_low", *point, *rest)
         assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gap", "--family", "effective_high", "--g", "1e200"),
+        ("qfi", "--family", "effective_low", "--g", "1e200"),
+        ("qfi", "--family", "effective_high", "--x", "1e160", "--method", "analytic"),
+        ("qfi", "--family", "effective_high", "--x", "1e160", "--method", "oscillator_evolution"),
+        ("adiabatic", "--family", "effective_low", "--x-start", "0", "--x-end", "0.5", "--T", "inf"),
+        ("sweep", "--family", "lmg", "--N", "20", "--grid=0:inf:3"),
+        ("qfi", "--family", "tfim", "--g", "inf", "--N", "4"),
+    ],
+    ids=["gap_overflow", "qfi_overflow", "analytic_overflow", "evolution_overflow", "infinite_T",
+         "infinite_grid_end", "infinite_g"],
+)
+def test_out_of_range_number_is_a_usage_error(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: ") and "Traceback" not in err and "Warning" not in err
 
 
 class TestSweepCommand:

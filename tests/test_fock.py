@@ -8,7 +8,6 @@ from anticrit.fock import (
     FockSpace,
     MeanExcitations,
     Sector,
-    annihilation,
     mean_excitations,
     number_operator,
     squeeze_vacuum,
@@ -16,6 +15,7 @@ from anticrit.fock import (
     squeezing_parameter,
 )
 from anticrit.spectral import HermitianOperator, expectation, variance
+from oracles import annihilation
 
 
 class TestOperators:

@@ -16,6 +16,7 @@ from anticrit.models import (
     frequency_derivative_factor,
 )
 from anticrit.spectral import expectation
+from oracles import annihilation, site_pauli
 from test_spin import dicke_matrices  # Dicke S_x, S_y, S_z from an independent ladder
 
 
@@ -228,7 +229,7 @@ class TestBandedSquares:
     @pytest.mark.parametrize("sector", ["low", "high"])
     def test_effective_matches_dense_square(self, sector):
         spec = ModelSpec.effective(sector, x=0.8, n_max=50)
-        a, adag = fock.annihilation(fock.FockSpace(50))
+        a, adag = annihilation(fock.FockSpace(50))
         q = a + adag
         sign = -1.0 if sector == "low" else 1.0
         dense = np.diag(np.arange(51.0)) + sign * spec.g**2 / (4.0 * spec.Omega) * (q @ q)
@@ -367,7 +368,7 @@ class TestSpinModels:
     @pytest.mark.parametrize("family", ["tfim", "tfim_transverse"])
     @pytest.mark.parametrize("g", [0.7, -1.3])
     def test_chain_matches_site_paulis(self, N, family, g):
-        from anticrit.spin import ChainBasis, site_pauli
+        from anticrit.spin import ChainBasis
 
         basis = ChainBasis(N)
         sigma = {

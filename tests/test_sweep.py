@@ -23,6 +23,7 @@ from anticrit.sweep import (
     sweep_metadata,
     write_csv,
 )
+from oracles import site_pauli
 from test_spectral import block_solves  # block solves as (size, select, vectors)
 from test_spectral import dense_calls  # dense LAPACK solves as (size, driver, vectors)
 from test_spectral import lazy_entries_spy  # band or block operators whose dense matrix is read
@@ -190,7 +191,7 @@ class TestSpinSweeps:
     @pytest.mark.parametrize("family", ["tfim", "tfim_transverse"])
     def test_chain_moments_match_dense_site_paulis(self, family):
         from anticrit.spectral import HermitianOperator, expectation, variance
-        from anticrit.spin import ChainBasis, site_pauli
+        from anticrit.spin import ChainBasis
 
         basis = ChainBasis(6)
         sx, sy, sz = (
