@@ -1,10 +1,10 @@
 """Hamiltonian families with their exact omega-derivatives.
 
-Every family is parametrized so that the partial derivative of H with
-respect to omega at fixed (g, Omega, N) is the bare number operator
-(bosonic families) or the collective/total spin-z operator (spin
-families). Analytic helpers for the effective oscillator (frequency,
-derivative factor, characteristic time) live here as well.
+Every family is H = omega D + s V + Omega W, assembled by :func:`build` from
+terms held once per size: D = d_omega H at fixed (g, Omega, N) is the number
+operator, S_z (lmg) or sum sigma_z (chains), s a scalar of (g, Omega, N), V
+the coupling's bands or bond flips and W rabi_full's sigma_z / 2. The
+effective oscillator's frequency-derivative factor lives here as well.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -154,25 +154,6 @@ class ModelInstance:
     basis: str
 
 
-def build_rabi_full(spec: ModelSpec) -> ModelInstance:
-    """H = omega n (x) 1 + Omega/2 1 (x) sigma_z + g/2 (a+adag) (x) sigma_x, in the parity order.
-
-    Index 2n + p holds |n, s> with s = (n + p) mod 2 (s = 0 is sigma_z = +1).
-    (a+adag) sigma_x takes |n, s> to |n+1, 1-s>, which keeps p, so each
-    parity p is a chain over n (Casanova et al., PRL 105, 263603 (2010)) and
-    H is parity-banded: index 2n + p couples only to 2(n+1) + p.
-    """
-    space = fock.FockSpace(spec.n_max)
-    n = np.repeat(np.arange(space.dim, dtype=float), 2)
-    sz = 1.0 - 2.0 * ((n + np.arange(n.size)) % 2)  # s = (n + p) mod 2 = (n + index) mod 2
-    # 0.0 + g/2 sqrt(n+1) is the kron sum's 0.0 + 0.0 + g/2 sqrt(n+1): +0.0, not -0.0, at g = 0
-    H = HermitianOperator.parity_banded(
-        spec.omega * n + spec.Omega / 2.0 * sz, 0.0 + spec.g / 2.0 * np.sqrt(n[2:])
-    )
-    dH = HermitianOperator.from_diagonal(n)  # n (x) 1
-    return ModelInstance(H, dH, spec, f"{space.basis_label}*qubit/parity")
-
-
 def _tridiagonal_square(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, offset -2 band) of T @ T for the symmetric tridiagonal T with zero
     diagonal and off-diagonal `off`.
@@ -184,120 +165,117 @@ def _tridiagonal_square(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.append(sq, 0.0) + np.insert(sq, 0, 0.0), off[:-1] * off[1:]
 
 
-@lru_cache(maxsize=8)
-def _effective_terms(n_max: int) -> tuple[HermitianOperator, tuple[np.ndarray, np.ndarray], str]:
-    """(n = d_omega H, the bands of (a+adag)^2, the basis label) on the Fock space truncated
-    at n_max; <n-1|a+adag|n> = sqrt(n)."""
-    space = fock.FockSpace(n_max)
-    q2 = _tridiagonal_square(np.sqrt(np.arange(1.0, space.dim)))
-    return fock.number_operator(space), q2, space.basis_label
+class _Terms(NamedTuple):
+    """The fixed terms of one family's H = omega D + s V + Omega W at one size.
 
-
-def build_effective(spec: ModelSpec) -> ModelInstance:
-    """H = omega n -/+ g^2/(4 Omega) (a+adag)^2, constant terms dropped."""
-    nop, (q2_diag, q2_band), basis = _effective_terms(spec.n_max)
-    sign = -1.0 if spec.sector is Sector.LOW else +1.0
-    c = sign * spec.g**2 / (4.0 * spec.Omega)
-    # 0.0 + c q2_band is omega n + c q2 off the diagonal: +0.0, not -0.0, at g = 0
-    H = HermitianOperator.parity_banded(
-        spec.omega * nop.diagonal + c * q2_diag, 0.0 + c * q2_band
-    )
-    return ModelInstance(H, nop, spec, basis)
-
-
-@lru_cache(maxsize=4)
-def _lmg_terms(N: int) -> tuple[HermitianOperator, tuple[np.ndarray, np.ndarray]]:
-    """(S_z = d_omega H, the bands of S_x^2), from the Dicke ladder; <m+1|S_x|m> = raising / 2."""
-    m, raising = spin.dicke_ladder(spin.DickeBasis(N))
-    return HermitianOperator.from_diagonal(m), _tridiagonal_square(raising / 2.0)
-
-
-def build_lmg(spec: ModelSpec) -> ModelInstance:
-    """H = omega S_z - (g/N) S_x^2 in the symmetric subspace (g_c = omega)."""
-    sz, (sx2_diag, sx2_band) = _lmg_terms(spec.N)
-    c = spec.g / spec.N
-    # 0.0 - c sx2_band is omega S_z - c S_x^2 off the diagonal, as in build_effective
-    H = HermitianOperator.parity_banded(
-        spec.omega * sz.diagonal - c * sx2_diag, 0.0 - c * sx2_band
-    )
-    return ModelInstance(H, sz, spec, spin.DickeBasis(spec.N).basis_label)
-
-
-@lru_cache(maxsize=8)
-def _chain_terms(N: int) -> tuple[HermitianOperator, np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """(sum sigma_z = d_omega H, diagonal of sum sigma_z sigma_z, the ascending rows of each
-    parity block of prod sigma_z, each block's bond flips), periodic bonds.
-
-    The even block (an even number of up spins, state 0 among them) comes
-    first. sigma_x sigma_x on bond k, which keeps the parity, maps the
-    block's j-th state to its flips[k, j]-th.
+    D = d_omega H is diagonal. V is held as its diagonal (None where it has
+    none) and either its offset -2 band (a parity-banded H) or, for a chain,
+    the ascending rows of each parity block of prod sigma_z and each block's
+    bond flips, where V is -1. W is rabi_full's sigma_z / 2 (None elsewhere).
     """
-    states, signs = spin.chain_bits(spin.ChainBasis(N))
-    bonds = [(i, (i + 1) % N) for i in range(N)]  # periodic boundary
-    zz_diag = sum(signs[:, i] * signs[:, j] for i, j in bonds)
+
+    D: HermitianOperator
+    v_diag: np.ndarray | None
+    v_band: np.ndarray | None = None
+    rows: tuple[np.ndarray, ...] = ()
+    flips: tuple[np.ndarray, ...] = ()
+    w: np.ndarray | None = None
+    basis: str = ""
+
+
+@lru_cache(maxsize=16)
+def _terms(family: str, size: int) -> _Terms:
+    """The terms of `family` with n_max = size (bosonic families) or N = size (spin families)."""
+    if family == "rabi_full":
+        # index 2n + p holds |n, s>, s = (n + p) mod 2 (s = 0 is sigma_z = +1): (a+adag) sigma_x
+        # takes it to 2(n+1) + p with amplitude sqrt(n+1) (Casanova et al., PRL 105, 263603 (2010))
+        space = fock.FockSpace(size)
+        n = np.repeat(np.arange(space.dim, dtype=float), 2)  # D = n (x) 1
+        w = 0.5 - (n + np.arange(n.size)) % 2  # sigma_z / 2, with s = (n + p) mod 2 = (n + index) mod 2
+        basis = f"{space.basis_label}*qubit/parity"
+        return _Terms(HermitianOperator.from_diagonal(n), None, np.sqrt(n[2:]), w=w, basis=basis)
+    if family in SECTORS:  # V = (a+adag)^2, from <n-1|a+adag|n> = sqrt(n)
+        space = fock.FockSpace(size)
+        q2 = _tridiagonal_square(np.sqrt(np.arange(1.0, space.dim)))
+        return _Terms(fock.number_operator(space), *q2, basis=space.basis_label)
+    if family == "lmg":  # V = S_x^2, from <m+1|S_x|m> = raising / 2
+        basis = spin.DickeBasis(size)
+        m, raising = spin.dicke_ladder(basis)
+        sx2 = _tridiagonal_square(raising / 2.0)
+        return _Terms(HermitianOperator.from_diagonal(m), *sx2, basis=basis.basis_label)
+    # chains: the even block (an even number of up spins, state 0 among them) comes first;
+    # sigma_x sigma_x on bond k, which keeps the parity, maps the block's j-th state to its flips[k, j]-th
+    basis = spin.ChainBasis(size)
+    states, signs = spin.chain_bits(basis)
+    bonds = [(i, (i + 1) % size) for i in range(size)]  # periodic boundary
+    zz_diag = sum(signs[:, i] * signs[:, j] for i, j in bonds) if family == "tfim_transverse" else None
     odd = np.count_nonzero(signs > 0, axis=1) % 2
     rows = tuple(np.flatnonzero(odd == parity) for parity in (0, 1))
-    position = np.empty_like(states)
-    for r in rows:
-        position[r] = np.arange(r.size)
+    position = np.empty_like(states)  # each state's index within its block
+    position[np.concatenate(rows)] = np.concatenate([np.arange(r.size) for r in rows])
     flips = tuple(position[r ^ np.array([[(1 << i) | (1 << j)] for i, j in bonds])] for r in rows)
-    return HermitianOperator.from_diagonal(signs.sum(axis=1)), zz_diag, rows, flips
+    D = HermitianOperator.from_diagonal(signs.sum(axis=1))
+    return _Terms(D, zz_diag, rows=rows, flips=flips, basis=basis.basis_label)
 
 
-def _chain_block(diag: np.ndarray, g: float, flips: np.ndarray) -> np.ndarray:
-    """One parity block: its diagonal `diag`, and -g from each state to each of its bond flips."""
-    block = np.zeros((diag.size, diag.size))
-    np.fill_diagonal(block, diag)
-    block[flips, np.arange(diag.size)] = 0.0 - g  # -g, and +0.0 rather than -0.0 at g = 0
-    return block
-
-
-def _chain_hamiltonian(spec: ModelSpec, transverse: bool) -> ModelInstance:
-    """H from the bit table as its two parity blocks, with no 2^N x 2^N matrix."""
-    z_sum, zz_diag, rows, flips = _chain_terms(spec.N)
-    diag = spec.omega * z_sum.diagonal
-    if transverse:
-        diag = diag + spec.g * zz_diag
-    # one block at a time: each is checked and copied before the next is written
-    blocks = (_chain_block(diag[r], spec.g, f) for r, f in zip(rows, flips))
-    H = HermitianOperator.block_diagonal(rows, blocks)
-    return ModelInstance(H, z_sum, spec, spin.ChainBasis(spec.N).basis_label)
-
-
-def build_tfim(spec: ModelSpec) -> ModelInstance:
-    """H = omega sum sigma_z - g sum sigma_x sigma_x, periodic."""
-    return _chain_hamiltonian(spec, transverse=False)
-
-
-def build_tfim_transverse(spec: ModelSpec) -> ModelInstance:
-    """H = omega sum sigma_z - g sum (sigma_x sigma_x - sigma_z sigma_z), periodic."""
-    return _chain_hamiltonian(spec, transverse=True)
-
-
-_BUILDERS = {
-    "rabi_full": build_rabi_full,
-    "effective_low": build_effective,
-    "effective_high": build_effective,
-    "lmg": build_lmg,
-    "tfim": build_tfim,
-    "tfim_transverse": build_tfim_transverse,
+# s(spec) per family: the coupling's scale in H = omega D + s V + Omega W
+_COUPLING: dict[str, Callable[[ModelSpec], float]] = {
+    "rabi_full": lambda spec: spec.g / 2.0,  # V = (a+adag) sigma_x
+    "effective_low": lambda spec: -(spec.g**2) / (4.0 * spec.Omega),  # V = (a+adag)^2
+    "effective_high": lambda spec: spec.g**2 / (4.0 * spec.Omega),
+    "lmg": lambda spec: -spec.g / spec.N,  # V = S_x^2
+    "tfim": lambda spec: spec.g,  # V = -sum sigma_x sigma_x, periodic
+    "tfim_transverse": lambda spec: spec.g,  # V = -sum (sigma_x sigma_x - sigma_z sigma_z)
 }
 
 
+def _chain_block(diag: np.ndarray, off: float, flips: np.ndarray) -> np.ndarray:
+    """One parity block: its diagonal `diag`, and `off` from each state to each of its bond flips."""
+    block = np.diag(diag)
+    block[flips, np.arange(diag.size)] = off
+    return block
+
+
+def _overflow(spec: ModelSpec, terms: _Terms, s: float) -> ValueError:
+    """The error for an H that overflowed, naming the parameter of its largest term."""
+    v = [float(np.abs(a).max()) for a in (terms.v_diag, terms.v_band) if a is not None]
+    size = {
+        "omega": spec.omega * float(np.abs(terms.D.diagonal).max()),
+        "g": abs(s) * max(v + [1.0] * bool(terms.flips)),  # a chain's V is -1 at each bond flip
+        "Omega": 0.0 if terms.w is None else spec.Omega / 2.0,
+    }
+    name = max(size, key=size.get)
+    return ValueError(f"{spec.family}: H overflows float64 at {name}={getattr(spec, name)!r}")
+
+
 def build(spec: ModelSpec) -> ModelInstance:
-    return _BUILDERS[spec.family](spec)
+    """H = omega D + s V + Omega W from the family's cached terms, with d_omega H = D itself.
 
-
-def effective_frequency(sector: Sector | str, omega: float, x: float) -> float:
-    """omega sqrt(1 -/+ x) = omega exp(-2 xi)."""
-    sector = Sector(sector)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if sector is Sector.LOW:
-        if x >= 1.0 - CRITICAL_MARGIN:
-            raise CriticalPointGuard(f"low sector frequency undefined at x={x}")
-        return omega * math.sqrt(1.0 - x)
-    return omega * math.sqrt(1.0 + x)
+    s is -/+ g^2/(4 Omega) (effective sectors), -g/N (lmg), g/2 (rabi_full)
+    or g (chains). An H that overflows float64 raises ValueError naming the
+    family and omega, g or Omega; a NaN parameter is refused as a non-finite
+    entry.
+    """
+    terms = _terms(spec.family, spec.n_max if spec.family in BOSONIC_FAMILIES else spec.N)
+    s = math.inf  # the coupling's scale when g**2 overflows
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below instead
+            s = _COUPLING[spec.family](spec)
+            diag = spec.omega * terms.D.diagonal
+            if terms.v_diag is not None:
+                diag = diag + s * terms.v_diag
+            if terms.w is not None:
+                diag = diag + spec.Omega * terms.w
+            if terms.flips:  # blocks written one at a time; -s, and +0.0 rather than -0.0 at s = 0
+                blocks = (_chain_block(diag[r], 0.0 - s, f) for r, f in zip(terms.rows, terms.flips))
+                H = HermitianOperator.block_diagonal(terms.rows, blocks)
+            else:  # 0.0 + s V off the diagonal: +0.0, not -0.0, at s = 0
+                H = HermitianOperator.parity_banded(diag, 0.0 + s * terms.v_band)
+    except (OverflowError, ValueError):  # g**2 overflowed, or H has a non-finite entry
+        if any(math.isnan(v) for v in (spec.omega, spec.g, spec.Omega) if v is not None):
+            raise
+        raise _overflow(spec, terms, s) from None
+    return ModelInstance(H, terms.D, spec, terms.basis)
 
 
 def frequency_derivative_factor(sector: Sector | str, x: float) -> float:
@@ -310,11 +288,6 @@ def frequency_derivative_factor(sector: Sector | str, x: float) -> float:
             raise CriticalPointGuard(f"low sector derivative undefined at x={x}")
         return (2.0 - x) ** 2 / (4.0 * (1.0 - x))
     return (2.0 + x) ** 2 / (4.0 * (1.0 + x))
-
-
-def characteristic_time(sector: Sector | str, omega: float, x: float) -> float:
-    """Inverse effective gap, 1/(omega sqrt(1 -/+ x))."""
-    return 1.0 / effective_frequency(sector, omega, x)
 
 
 def truncation_weight(instance: ModelInstance, amps: np.ndarray) -> float:

@@ -306,8 +306,6 @@ def _ramp_steps(family: str, ramp: RampSpec, omega: float, n_max, N, count: int 
     inst, sector = models.ground_sector_converged(
         ModelSpec.at(family, float(xs[0]), omega, n_max=n_max, N=N), count
     )
-    if inst.H.dtype.kind == "c":
-        raise ValueError("ramp requires a real-symmetric Hamiltonian family")
     block, rows, n_max = sector.block, sector.rows, inst.spec.n_max
     dH = inst.dH_domega.diagonal[rows]  # the same at every x
     vals, vecs = sector.energies, sector.vectors
@@ -403,7 +401,6 @@ def qfi_adiabatic_generator(
     diagnostics: dict[str, Any] = {
         "steps": ramp.steps,
         "min_gap": min_gap,
-        "berry_term_imag_max": 0.0,  # real gauge on real-symmetric families
         "levels_solved": energies.shape[1],
         "dropped_bound": 4.0 * ramp.T * float(np.sum(_trapezoids(ts, dropped[:, np.newaxis]))),
     }

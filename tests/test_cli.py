@@ -190,25 +190,32 @@ class TestNullOrNonFiniteStep:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ("gap", "--family", "effective_high", "--g", "1e200"),
-        ("qfi", "--family", "effective_low", "--g", "1e200"),
-        ("qfi", "--family", "effective_high", "--x", "1e160", "--method", "analytic"),
-        ("qfi", "--family", "effective_high", "--x", "1e160", "--method", "oscillator_evolution"),
-        ("adiabatic", "--family", "effective_low", "--x-start", "0", "--x-end", "0.5", "--T", "inf"),
-        ("sweep", "--family", "lmg", "--N", "20", "--grid=0:inf:3"),
-        ("qfi", "--family", "tfim", "--g", "inf", "--N", "4"),
+        (("gap", "--family", "effective_high", "--g", "1e200"), "effective_high: H overflows float64 at g=1e+200"),
+        (("qfi", "--family", "effective_low", "--g", "1e200"), None),
+        (("qfi", "--family", "effective_high", "--x", "1e160", "--method", "analytic"), None),
+        (("qfi", "--family", "effective_high", "--x", "1e160", "--method", "oscillator_evolution"), None),
+        (("adiabatic", "--family", "effective_low", "--x-start", "0", "--x-end", "0.5", "--T", "inf"), None),
+        (("sweep", "--family", "lmg", "--N", "20", "--grid=0:inf:3"), None),
+        (("qfi", "--family", "tfim", "--g", "inf", "--N", "4"), None),
+        (("gap", "--family", "lmg", "--g", "1e308"), "lmg: H overflows float64 at g=1e+308"),
+        (("gap", "--family", "tfim", "--omega", "1e308", "--g", "1"), "tfim: H overflows float64 at omega=1e+308"),
+        (("gap", "--family", "rabi_full", "--omega", "1e306", "--Omega", "1"),
+         "rabi_full: H overflows float64 at omega=1e+306"),
     ],
     ids=["gap_overflow", "qfi_overflow", "analytic_overflow", "evolution_overflow", "infinite_T",
-         "infinite_grid_end", "infinite_g"],
+         "infinite_grid_end", "infinite_g", "lmg_g_overflow", "tfim_omega_overflow", "rabi_full_omega_overflow"],
 )
-def test_out_of_range_number_is_a_usage_error(capsys, argv):
+def test_out_of_range_number_is_a_usage_error(capsys, argv, named):
+    # `named`: the line that names the family and the parameter whose term of H overflowed
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)
     assert (code, out, caught) == (2, "", [])
     assert err.startswith("error: ") and "Traceback" not in err and "Warning" not in err
+    if named is not None:
+        assert err == f"error: {named}\n"
 
 
 class TestSweepCommand:

@@ -10,9 +10,7 @@ from anticrit.fock import Sector
 from anticrit.models import (
     ModelSpec,
     build,
-    characteristic_time,
     diagonalize_converged,
-    effective_frequency,
     frequency_derivative_factor,
 )
 from anticrit.spectral import expectation
@@ -46,6 +44,19 @@ class TestDerivativeConvention:
         # the estimators apply d_omega H as its diagonal
         dH = build(spec).dH_domega.entries
         assert np.array_equal(dH, np.diag(np.diagonal(dH)))
+
+    @pytest.mark.parametrize("spec", all_test_specs(), ids=lambda s: s.family)
+    def test_h_is_affine_in_omega(self, spec):
+        # H = omega D + s V + Omega W: a shift of omega moves only the diagonal, by d_omega D
+        a, b = build(spec), build(spec.with_omega(1.25 * spec.omega))
+        off_a, off_b = a.H.entries.copy(), b.H.entries.copy()
+        np.fill_diagonal(off_a, 0.0)
+        np.fill_diagonal(off_b, 0.0)
+        assert off_a.tobytes() == off_b.tobytes()
+        shift = b.H.diagonal - a.H.diagonal - (b.spec.omega - a.spec.omega) * a.dH_domega.diagonal
+        scale = max(np.abs(a.H.diagonal).max(), np.abs(b.H.diagonal).max())
+        assert np.abs(shift).max() <= 4 * np.finfo(float).eps * scale
+        assert a.dH_domega is b.dH_domega  # D itself, from the cached terms
 
 
 class TestConstructor:
@@ -213,10 +224,11 @@ class TestEffective:
         assert nbar == pytest.approx(math.sinh(xi) ** 2, abs=1e-8)
 
     def test_gap_matches_effective_frequency(self):
-        for sector, x in (("low", 0.6), ("high", 5.0)):
+        # the effective frequency omega sqrt(1 -/+ x), omega = 1
+        for sector, x, frequency in (("low", 0.6, math.sqrt(1.0 - 0.6)), ("high", 5.0, math.sqrt(1.0 + 5.0))):
             _, dec = diagonalize_converged(ModelSpec.effective(sector, x=x))
             gap = dec.eigenvalues[1] - dec.eigenvalues[0]
-            assert gap == pytest.approx(effective_frequency(sector, 1.0, x), abs=1e-8)
+            assert gap == pytest.approx(frequency, abs=1e-8)
 
     def test_critical_guard(self):
         with pytest.raises(CriticalPointGuard):
@@ -287,41 +299,19 @@ class TestBandedHamiltonians:
 
 
 class TestAnalyticHelpers:
-    def test_effective_frequency(self):
-        assert effective_frequency("low", 1.0, 0.75) == pytest.approx(0.5)
-        assert effective_frequency("high", 1.0, 3.0) == pytest.approx(2.0)
-        assert effective_frequency(Sector.HIGH, 2.5, 0.0) == pytest.approx(2.5)
-
-    def test_frequency_matches_exponential_form(self):
-        for sector, x in (("low", 0.3), ("low", 0.9), ("high", 2.0)):
-            sign = -1.0 if sector == "low" else 1.0
-            xi = -0.25 * math.log(1 + sign * x)
-            assert effective_frequency(sector, 1.0, x) == pytest.approx(
-                math.exp(-2 * xi), abs=1e-12
-            )
-
     def test_derivative_factor(self):
         assert frequency_derivative_factor("low", 0.0) == pytest.approx(1.0)
         assert frequency_derivative_factor("low", 0.75) == pytest.approx(1.5625)
         assert frequency_derivative_factor("high", 8.0) == pytest.approx(100.0 / 36.0)
 
-    def test_characteristic_time(self):
-        assert characteristic_time("low", 1.0, 0.0) == pytest.approx(1.0)
-        assert characteristic_time("low", 1.0, 0.75) == pytest.approx(2.0)
-        assert characteristic_time("high", 1.0, 3.0) == pytest.approx(0.5)
-
     def test_guards(self):
-        with pytest.raises(CriticalPointGuard):
-            effective_frequency("low", 1.0, 1.0)
         with pytest.raises(CriticalPointGuard):
             frequency_derivative_factor("low", 1.0)
 
     @pytest.mark.parametrize("sector", ["low", "high"])
     def test_negative_x_rejected(self, sector):
         with pytest.raises(ValueError, match="x must be >= 0, got -0.5"):
-            effective_frequency(sector, 1.0, -0.5)
-        with pytest.raises(ValueError, match="x must be >= 0, got -0.5"):
-            characteristic_time(sector, 1.0, -0.5)
+            frequency_derivative_factor(sector, -0.5)
 
 
 class TestSpinModels:

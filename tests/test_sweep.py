@@ -208,7 +208,7 @@ class TestSpinSweeps:
 
     def test_chain_row_retains_only_d_omega_h(self):
         # after one N=10 row only the cached d_omega H (2^N x 2^N float64) may stay held
-        models._chain_terms.cache_clear()
+        models._terms.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -225,7 +225,7 @@ class TestSpinSweeps:
         # d_omega H is held as its diagonal: what one N=10 row leaves cached is
         # the bit tables and the bands (about 0.4 MiB), far below one 2^N x 2^N
         # matrix (8 MiB)
-        models._chain_terms.cache_clear()
+        models._terms.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
